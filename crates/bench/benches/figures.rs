@@ -5,7 +5,8 @@
 //! existing dataset.
 //!
 //! The printed figure artifacts themselves come from the
-//! `src/bin/fig*` binaries; see DESIGN.md §4.
+//! `experiments` dispatcher (`experiments fig1` … `experiments all`);
+//! see DESIGN.md §4.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use digg_bench::shared_synthesis;

@@ -487,38 +487,6 @@ pub fn write_bench_summary() {
     }
 }
 
-/// Entry point for the thin per-experiment binaries: run `name` on the
-/// shared synthesis, write the bench summary, and exit non-zero when
-/// an artifact fails its checks (e.g. intext violations).
-pub fn main_for(name: &str) {
-    let Some(spec) = find(name) else {
-        eprintln!("unknown experiment {name:?}; known experiments:");
-        for s in REGISTRY {
-            eprintln!("  {}", s.name);
-        }
-        std::process::exit(2);
-    };
-    let ok = run_spec(spec);
-    write_bench_summary();
-    if !ok {
-        std::process::exit(1);
-    }
-}
-
-/// Entry point for the full-report binary: every experiment in
-/// registry order on one shared synthesis.
-pub fn main_for_all() {
-    println!("=== Reproduction report: Lerman & Galstyan, WOSN'08 ===\n");
-    let mut ok = true;
-    for spec in REGISTRY {
-        ok &= run_spec(spec);
-    }
-    write_bench_summary();
-    if !ok {
-        std::process::exit(1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -32,10 +32,10 @@ fn small_specs() -> Vec<ScenarioSpec> {
             minutes: 240,
         },
         ScenarioSpec {
-            name: "toy-streams".into(),
+            name: "toy-quiet".into(),
             cfg: quiet,
             pop_cfg: PopulationConfig::toy(400),
-            kernel: Kernel::EventStreams,
+            kernel: Kernel::Compat,
             minutes: 240,
         },
     ]
@@ -193,6 +193,34 @@ fn full_chaos_matrix_recovers_to_byte_identical_rows() {
         assert!(leftovers.is_empty(), "leftover checkpoints: {leftovers:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn flipped_section_count_falls_back_as_a_corrupt_checkpoint() {
+    // Bit 127 is the top bit of the container's section count (bytes
+    // 12..16, little-endian): the damaged checkpoint claims 2^31 more
+    // sections than it holds. The recovering worker must see a typed
+    // restore error and fall back one generation, not abort on the
+    // allocation.
+    let specs = small_specs();
+    let dir = temp_dir("count-flip");
+    let mut cfg = SupervisorConfig::subprocess(worker_cmd(), 1, 150, dir.clone());
+    cfg.chaos = vec![Some(ChaosFault::BitFlipCheckpoint {
+        at_checkpoint: 2,
+        bit: 127,
+    })];
+    let (results, report) = run_sweep_supervised_lenient(&specs[..1], &[51], &cfg).unwrap();
+    assert_eq!(report.failed, vec![]);
+    assert_eq!(results[0].run(), Some(&run_scenario(&specs[0], 51)));
+    assert!(
+        report.observed.corrupt_checkpoint >= 1,
+        "count flip: {:?}",
+        report.observed
+    );
+    // The injected exit is the only crash: the recovering worker
+    // never aborts.
+    assert_eq!(report.respawns, 1, "{:?}", report.observed);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

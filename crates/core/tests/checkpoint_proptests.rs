@@ -123,6 +123,7 @@ proptest! {
         voters in voters_strategy(),
         at_pick in any::<usize>(),
         mask in 1..=255u8,
+        count_byte in 0..4usize,
         found_raw in any::<u32>(),
     ) {
         let mut m = IncrementalSweep::new(&g);
@@ -136,6 +137,12 @@ proptest! {
         let at = at_pick % corrupt.len();
         corrupt[at] ^= mask;
         prop_assert!(IncrementalSweep::restore(&corrupt, ()).is_err());
+
+        // The section count (right after magic and version) is the one
+        // header field that sizes an allocation: damage it specifically.
+        let mut recount = bytes.clone();
+        recount[MAGIC.len() + 4 + count_byte] ^= mask;
+        prop_assert!(IncrementalSweep::restore(&recount, ()).is_err());
 
         let found = if found_raw == FORMAT_VERSION { FORMAT_VERSION ^ 1 } else { found_raw };
         let mut patched = bytes.clone();

@@ -279,6 +279,8 @@ impl<T: Codec> Snapshot for EventQueue<T> {
             })
             .collect();
         entries.sort_unstable_by_key(|&(time, class, seq, id, _)| (time, class, seq, id));
+        // `live_len` is not stored: restore recounts it from the entries.
+        debug_assert_eq!(entries.len(), self.live_len);
         let mut w = ByteWriter::new();
         w.put_u64(self.next_seq);
         w.put_usize(self.slots.len());

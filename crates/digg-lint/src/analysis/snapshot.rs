@@ -10,7 +10,10 @@
 //! a deleted field *write* in `snapshot()`. Each side's token set is
 //! widened by one level of same-file callees, so a `snapshot()` that
 //! delegates to a same-file `encode()` (as `StreamRng` does) still
-//! counts the fields `encode()` touches.
+//! counts the fields `encode()` touches. Callees named in
+//! [`COMMON_METHODS`](super::COMMON_METHODS) are not followed: a
+//! `ByteWriter::new()` call must not pull in the type's own `new()`
+//! constructor, whose struct literal names every field.
 
 use crate::model::WorkspaceModel;
 use crate::rules::{Violation, SNAPSHOT_COVERAGE};
@@ -40,7 +43,7 @@ pub fn run(model: &WorkspaceModel) -> Vec<(usize, Violation)> {
             for &j in &fns {
                 let f = &file.syms.fns[j];
                 covered.extend(f.body_tokens.iter().map(String::as_str));
-                for callee in &f.calls {
+                for callee in f.calls.iter().filter(|c| super::resolvable(c)) {
                     for cf in file
                         .syms
                         .fns
@@ -158,6 +161,21 @@ mod tests {
     fn same_file_callee_counts_as_coverage() {
         let src = "struct R {\n    key: u64,\n    counter: u64,\n}\nimpl R {\n    fn encode(&self, w: &mut W) {\n        w.put(self.key);\n        w.put(self.counter);\n    }\n}\nimpl Snapshot for R {\n    fn snapshot(&self, w: &mut W) {\n        self.encode(w);\n    }\n}\n";
         assert!(run_src(src).is_empty());
+    }
+
+    #[test]
+    fn constructor_named_like_a_common_callee_is_not_coverage() {
+        // snapshot() calls some `W::new()`; the type's own `new()`
+        // names every field, but must not mask the dropped `b` write.
+        let src = COVERED
+            .replace("        w.put(self.b);\n", "        let _w = W::new();\n")
+            .replace(
+                "impl Snapshot for S {",
+                "impl S {\n    fn new() -> S {\n        S { a: 0, b: 0 }\n    }\n}\nimpl Snapshot for S {",
+            );
+        let v = run_src(&src);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].snippet.contains("field `b`"));
     }
 
     #[test]

@@ -268,7 +268,7 @@ fn deleting_a_real_sim_snapshot_write_fires() {
         clean.violations
     );
 
-    let needle = "        w.put_u64(self.front_sessions);\n";
+    let needle = "        w.put_usize(self.external_lo);\n";
     assert!(
         engine.contains(needle),
         "snapshot write moved — update test"
@@ -279,8 +279,8 @@ fn deleting_a_real_sim_snapshot_write_fires() {
         report
             .violations
             .iter()
-            .any(|v| v.rule == "snapshot-coverage" && v.snippet.contains("front_sessions")),
-        "deleting the front_sessions write must fire snapshot-coverage, got {:?}",
+            .any(|v| v.rule == "snapshot-coverage" && v.snippet.contains("external_lo")),
+        "deleting the external_lo write must fire snapshot-coverage, got {:?}",
         report.violations
     );
 }

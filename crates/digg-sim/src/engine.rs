@@ -17,22 +17,14 @@
 //! the queue — so, exactly as on Digg, no queue story can be observed
 //! with more votes than the promotion boundary.
 //!
-//! Two kernels drive the same handlers (see [`Kernel`]):
-//!
-//! - [`Kernel::Compat`] (the default) replays the seed tick loop
-//!   draw-for-draw: per-minute heartbeat events batch each phase's
-//!   Poisson arrivals, and all randomness comes from one `StdRng` in
-//!   the tick loop's exact call order. Results are byte-identical to
-//!   [`crate::baseline::TickSim`] whenever `feed_lifetime >= 1` (which
-//!   every shipped scenario satisfies; at `feed_lifetime == 0` the
-//!   tick loop delays same-minute exposures to the next drain while
-//!   the kernel fires them immediately).
-//! - [`Kernel::EventStreams`] is the fast path: arrivals become
-//!   exponential-gap events, idle minutes cost nothing, and every draw
-//!   comes from a per-entity counter-based [`StreamRng`], so the
-//!   sequence an entity consumes is independent of how events
-//!   interleave. Same model, same distributions, different (still
-//!   fully deterministic) sample path.
+//! The engine replays the seed tick loop draw-for-draw: per-minute
+//! heartbeat events batch each phase's Poisson arrivals, and all
+//! randomness comes from one `StdRng` in the tick loop's exact call
+//! order. Results are byte-identical to [`crate::baseline::TickSim`]
+//! whenever `feed_lifetime >= 1` (which every shipped scenario
+//! satisfies; at `feed_lifetime == 0` the tick loop delays same-minute
+//! exposures to the next drain while the engine fires them
+//! immediately).
 
 use crate::config::{PromoterKind, SimConfig};
 use crate::decay::{novelty, sample_pages_viewed};
@@ -43,7 +35,7 @@ use crate::promotion::{self, Promoter, PromoterState};
 use crate::queue::UpcomingQueue;
 use crate::story::{Story, StoryId, StoryStatus, VoteChannel};
 use crate::time::Minute;
-use des_core::{EventQueue, StreamRng};
+use des_core::EventQueue;
 use digg_snapshot::{
     ByteReader, ByteWriter, Codec, Restore, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
 };
@@ -63,19 +55,10 @@ const CLASS_FRONT: u8 = 3;
 const CLASS_UPCOMING: u8 = 4;
 const CLASS_EXTERNAL: u8 = 5;
 
-// Stream-key salts (EventStreams kernel). Each logical entity draws
-// from `root.derive(SALT).derive(entity id…)`.
-const SALT_SUB_GAP: u64 = 1;
-const SALT_STORY_BODY: u64 = 2;
-const SALT_FRONT_GAP: u64 = 3;
-const SALT_FRONT_SESSION: u64 = 4;
-const SALT_UP_GAP: u64 = 5;
-const SALT_UP_SESSION: u64 = 6;
-const SALT_EXTERNAL: u64 = 7;
-const SALT_EXPOSE_SCHED: u64 = 8;
-const SALT_EXPOSE_FIRE: u64 = 9;
-
-/// Which driver produces the randomness and arrival structure.
+/// The simulator kernel. It has a single variant and survives only
+/// because the benchmark harness in `perfbench/` names it
+/// (`ScenarioSpec::kernel`, [`Sim::with_kernel`]); use [`Sim::new`]
+/// everywhere else.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Kernel {
     /// Tick-loop replay: one `StdRng` consumed in the seed loop's call
@@ -83,39 +66,20 @@ pub enum Kernel {
     /// the [`crate::baseline::TickSim`] sample path.
     #[default]
     Compat,
-    /// Pure event scheduling with per-entity [`StreamRng`] streams:
-    /// idle minutes are skipped entirely, arrivals are exponential
-    /// gaps. Deterministic per seed, but a different sample path than
-    /// the tick loop.
-    EventStreams,
 }
 
 /// Event payloads routed through the kernel queue.
 enum Ev {
     /// A story reaches the end of its queue lifetime.
     Expiry(StoryId),
-    /// Compat: this minute's Poisson batch of submissions.
+    /// This minute's Poisson batch of submissions.
     SubmitBatch,
-    /// Compat: this minute's front-page browsing sessions.
+    /// This minute's front-page browsing sessions.
     FrontBatch,
-    /// Compat: this minute's upcoming browsing sessions.
+    /// This minute's upcoming browsing sessions.
     UpcomingBatch,
-    /// Compat: this minute's external-discovery scan.
+    /// This minute's external-discovery scan.
     ExternalBatch,
-    /// EventStreams: one submission arrives.
-    Submit,
-    /// EventStreams: one front-page browsing session.
-    FrontSession,
-    /// EventStreams: one upcoming browsing session.
-    UpSession,
-    /// EventStreams: one external reader discovers `story`. The
-    /// story's arrival-process stream and continuous clock ride in the
-    /// payload.
-    ExternalArrival {
-        story: StoryId,
-        rng: StreamRng,
-        tau: f64,
-    },
     /// A fan's Friends-interface exposure to a story comes due.
     Exposure {
         fan: UserId,
@@ -145,7 +109,6 @@ enum Ev {
 pub struct Sim {
     cfg: SimConfig,
     pop: Population,
-    kernel: Kernel,
     now: Minute,
     stories: Vec<Story>,
     queue: UpcomingQueue,
@@ -172,23 +135,11 @@ pub struct Sim {
     metrics: SimMetrics,
     // digg-lint: allow(snapshot-coverage) — distribution parameters, reconstructed from SimConfig on restore
     niche_quality: LogNormal,
-    /// Compat: the tick loop's single RNG.
+    /// The tick loop's single RNG.
     rng: StdRng,
-    /// Compat: index of the oldest story still inside the
-    /// external-discovery window.
+    /// Index of the oldest story still inside the external-discovery
+    /// window.
     external_lo: usize,
-    /// EventStreams: root of the stream-key tree.
-    root: StreamRng,
-    /// EventStreams: submission inter-arrival stream and continuous
-    /// clock.
-    sub_gap: StreamRng,
-    sub_tau: f64,
-    front_gap: StreamRng,
-    front_tau: f64,
-    front_sessions: u64,
-    up_gap: StreamRng,
-    up_tau: f64,
-    up_sessions: u64,
     /// Events fired by *this instance* since construction or restore.
     /// Diagnostics only (checkpoint-overhead rates); deliberately not
     /// serialized — a restored sim starts its own count at zero.
@@ -197,19 +148,13 @@ pub struct Sim {
 }
 
 impl Sim {
-    /// Create a simulation over an existing population, on the default
-    /// [`Kernel::Compat`] driver.
+    /// Create a simulation over an existing population.
     ///
     /// # Panics
     ///
     /// Panics if the configuration is invalid or the population size
     /// disagrees with `cfg.users`.
     pub fn new(cfg: SimConfig, pop: Population) -> Sim {
-        Sim::with_kernel(cfg, pop, Kernel::default())
-    }
-
-    /// Create a simulation on an explicit [`Kernel`].
-    pub fn with_kernel(cfg: SimConfig, pop: Population, kernel: Kernel) -> Sim {
         if let Err(e) = cfg.validate() {
             // digg-lint: allow(no-lib-unwrap) — documented constructor contract ("# Panics"): invalid config is a caller bug
             panic!("invalid SimConfig: {e}");
@@ -228,7 +173,6 @@ impl Sim {
         let rng = StdRng::seed_from_u64(cfg.seed);
         let promoter = promotion::from_kind(cfg.promoter);
         let niche_quality = LogNormal::new(cfg.niche_quality_mu, cfg.niche_quality_sigma);
-        let root = StreamRng::root(cfg.seed);
         let mut sim = Sim {
             queue: UpcomingQueue::new(cfg.page_size, cfg.queue_lifetime),
             front: FrontPage::new(cfg.page_size),
@@ -244,46 +188,29 @@ impl Sim {
             niche_quality,
             rng,
             external_lo: 0,
-            root,
-            sub_gap: root.derive(SALT_SUB_GAP),
-            sub_tau: 0.0,
-            front_gap: root.derive(SALT_FRONT_GAP),
-            front_tau: 0.0,
-            front_sessions: 0,
-            up_gap: root.derive(SALT_UP_GAP),
-            up_tau: 0.0,
-            up_sessions: 0,
             events_fired: 0,
-            kernel,
             cfg,
             pop,
         };
-        match sim.kernel {
-            Kernel::Compat => {
-                // One heartbeat per phase; each reschedules itself for
-                // the next minute, replaying the tick loop.
-                sim.events.schedule(1, CLASS_SUBMIT, Ev::SubmitBatch);
-                sim.events.schedule(1, CLASS_FRONT, Ev::FrontBatch);
-                sim.events.schedule(1, CLASS_UPCOMING, Ev::UpcomingBatch);
-                sim.events.schedule(1, CLASS_EXTERNAL, Ev::ExternalBatch);
-            }
-            Kernel::EventStreams => {
-                sim.schedule_next_submission();
-                sim.schedule_next_front_session();
-                sim.schedule_next_up_session();
-            }
-        }
+        // One heartbeat per phase; each reschedules itself for the
+        // next minute, replaying the tick loop.
+        sim.events.schedule(1, CLASS_SUBMIT, Ev::SubmitBatch);
+        sim.events.schedule(1, CLASS_FRONT, Ev::FrontBatch);
+        sim.events.schedule(1, CLASS_UPCOMING, Ev::UpcomingBatch);
+        sim.events.schedule(1, CLASS_EXTERNAL, Ev::ExternalBatch);
         sim
+    }
+
+    /// [`Sim::new`] under another name, kept only because the
+    /// benchmark harness in `perfbench/` calls it; `Kernel` has the
+    /// single variant [`Kernel::Compat`].
+    pub fn with_kernel(cfg: SimConfig, pop: Population, _kernel: Kernel) -> Sim {
+        Sim::new(cfg, pop)
     }
 
     /// Current simulated time.
     pub fn now(&self) -> Minute {
         self.now
-    }
-
-    /// The kernel driving this simulation.
-    pub fn kernel(&self) -> Kernel {
-        self.kernel
     }
 
     /// All stories, in submission order.
@@ -408,22 +335,6 @@ impl Sim {
                 self.events
                     .schedule(self.now.0 + 1, CLASS_EXTERNAL, Ev::ExternalBatch);
             }
-            Ev::Submit => self.on_submit(),
-            Ev::FrontSession => {
-                let k = self.front_sessions;
-                self.front_sessions += 1;
-                let mut body = self.root.derive(SALT_FRONT_SESSION).derive(k);
-                self.browse_frontpage(&mut body);
-                self.schedule_next_front_session();
-            }
-            Ev::UpSession => {
-                let k = self.up_sessions;
-                self.up_sessions += 1;
-                let mut body = self.root.derive(SALT_UP_SESSION).derive(k);
-                self.browse_upcoming(&mut body);
-                self.schedule_next_up_session();
-            }
-            Ev::ExternalArrival { story, rng, tau } => self.on_external_arrival(story, rng, tau),
             Ev::Exposure {
                 fan,
                 story,
@@ -467,11 +378,6 @@ impl Sim {
         // "See the stories your friends submitted": expose the
         // submitter's fans.
         self.schedule_fan_exposures(submitter, id, true);
-        if self.kernel == Kernel::EventStreams {
-            let srng = self.root.derive(SALT_EXTERNAL).derive(id.index() as u64);
-            let tau = self.now.0 as f64 - 1.0;
-            self.schedule_external_arrival(id, srng, tau);
-        }
     }
 
     fn compat_submissions(&mut self) {
@@ -484,32 +390,6 @@ impl Sim {
             };
             self.admit_story(submitter, quality);
         }
-    }
-
-    fn on_submit(&mut self) {
-        let mut body = self
-            .root
-            .derive(SALT_STORY_BODY)
-            .derive(self.stories.len() as u64);
-        let submitter = UserId::from_index(self.submit_table.sample(&mut body));
-        let activity = self.pop.activity[submitter.index()];
-        let quality = draw_quality(&mut body, &self.cfg, &self.niche_quality, activity);
-        self.admit_story(submitter, quality);
-        self.schedule_next_submission();
-    }
-
-    /// EventStreams: next submission from the exponential-gap arrival
-    /// process; a continuous arrival at `tau` lands in minute
-    /// `ceil(tau)` (the minute interval `(m-1, m]`), matching the tick
-    /// loop's per-minute Poisson bucketing in distribution.
-    fn schedule_next_submission(&mut self) {
-        let rate = self.cfg.submissions_per_minute;
-        if rate <= 0.0 {
-            return;
-        }
-        self.sub_tau += exponential(&mut self.sub_gap, rate);
-        let m = (self.sub_tau.ceil() as u64).max(1);
-        self.events.schedule(m, CLASS_SUBMIT, Ev::Submit);
     }
 
     // --------------------------------------------------------- exposures
@@ -537,25 +417,14 @@ impl Sim {
         } else {
             self.cfg.friend_vote_base + self.cfg.friend_vote_quality_slope * story.quality
         };
-        let votes = match self.kernel {
-            Kernel::Compat => coin(&mut self.rng, p),
-            Kernel::EventStreams => {
-                let mut s = self
-                    .root
-                    .derive(SALT_EXPOSE_FIRE)
-                    .derive(story_id.index() as u64)
-                    .derive(fan.index() as u64);
-                coin(&mut s, p)
-            }
-        };
-        if votes {
+        if coin(&mut self.rng, p) {
             self.cast_vote(story_id, fan, VoteChannel::Friends);
         }
     }
 
     // ---------------------------------------------------------- browsing
 
-    // Compat browsing uses `self.rng` directly: the session draws and
+    // Browsing uses `self.rng` directly: the session draws and
     // the exposure draws nested under each cast_vote must interleave
     // on the one tick-loop RNG in the seed's exact call order.
 
@@ -605,70 +474,6 @@ impl Sim {
         }
     }
 
-    /// One front-page browsing session (EventStreams), drawing the
-    /// user, the page depth, and every vote coin from the session's
-    /// own stream.
-    fn browse_frontpage(&mut self, rng: &mut StreamRng) {
-        let user = UserId::from_index(self.browse_table.sample(rng));
-        let pages = sample_pages_viewed(rng, self.cfg.page_stop_prob);
-        for p in 0..pages.min(self.front.page_count()) {
-            for id in self.front.page(p) {
-                let story = &self.stories[id.index()];
-                if story.has_voted(user) {
-                    continue;
-                }
-                let age = match story.status {
-                    StoryStatus::FrontPage(t) => self.now.since(t),
-                    _ => continue,
-                };
-                let prob = self.cfg.frontpage_vote_prob
-                    * story.quality
-                    * novelty(age, self.cfg.novelty_tau);
-                if coin(rng, prob) {
-                    self.cast_vote(id, user, VoteChannel::FrontPage);
-                }
-            }
-        }
-    }
-
-    /// One upcoming-queue browsing session (EventStreams).
-    fn browse_upcoming(&mut self, rng: &mut StreamRng) {
-        let user = UserId::from_index(self.browse_table.sample(rng));
-        let pages = sample_pages_viewed(rng, self.cfg.page_stop_prob);
-        for p in 0..pages.min(self.queue.page_count()) {
-            for id in self.queue.page(p) {
-                let story = &self.stories[id.index()];
-                if story.has_voted(user) || !story.is_upcoming() {
-                    continue;
-                }
-                let prob = self.cfg.upcoming_vote_prob * story.quality;
-                if coin(rng, prob) {
-                    self.cast_vote(id, user, VoteChannel::Upcoming);
-                }
-            }
-        }
-    }
-
-    fn schedule_next_front_session(&mut self) {
-        let rate = self.cfg.frontpage_sessions_per_minute;
-        if rate <= 0.0 {
-            return;
-        }
-        self.front_tau += exponential(&mut self.front_gap, rate);
-        let m = (self.front_tau.ceil() as u64).max(1);
-        self.events.schedule(m, CLASS_FRONT, Ev::FrontSession);
-    }
-
-    fn schedule_next_up_session(&mut self) {
-        let rate = self.cfg.upcoming_sessions_per_minute;
-        if rate <= 0.0 {
-            return;
-        }
-        self.up_tau += exponential(&mut self.up_gap, rate);
-        let m = (self.up_tau.ceil() as u64).max(1);
-        self.events.schedule(m, CLASS_UPCOMING, Ev::UpSession);
-    }
-
     // ---------------------------------------------------------- external
 
     fn compat_external(&mut self) {
@@ -693,35 +498,6 @@ impl Sim {
                 }
             }
         }
-    }
-
-    /// EventStreams: one external reader arrives for `story` now.
-    fn on_external_arrival(&mut self, story: StoryId, mut rng: StreamRng, tau: f64) {
-        let user = UserId::from_index(self.browse_table.sample(&mut rng));
-        if !self.stories[story.index()].has_voted(user) {
-            self.cast_vote(story, user, VoteChannel::External);
-        }
-        self.schedule_external_arrival(story, rng, tau);
-    }
-
-    /// EventStreams: per-story external discovery as an exponential-gap
-    /// arrival process at rate `external_rate * quality`, starting at
-    /// the submission minute and dying when the story leaves the
-    /// discovery window.
-    fn schedule_external_arrival(&mut self, story: StoryId, mut rng: StreamRng, mut tau: f64) {
-        let s = &self.stories[story.index()];
-        let rate = self.cfg.external_rate * s.quality;
-        if rate <= 0.0 {
-            return;
-        }
-        let last = (s.submitted_at + self.cfg.external_window).0;
-        tau += exponential(&mut rng, rate);
-        let m = tau.ceil() as u64;
-        if m > last {
-            return;
-        }
-        self.events
-            .schedule(m, CLASS_EXTERNAL, Ev::ExternalArrival { story, rng, tau });
     }
 
     // ------------------------------------------------------------ voting
@@ -777,30 +553,10 @@ impl Sim {
             let dilution = f.powf(-dilution_exp);
             let p = (self.cfg.fan_exposure_prob * visits * dilution).min(1.0);
             let delay_mean = 1.0 / self.cfg.fan_exposure_delay_mean;
-            // Each (story, fan) pair passes here at most once (the
-            // `scheduled` dedup), so the per-pair stream below is
-            // drawn at most once — its values depend only on the pair,
-            // never on event interleaving.
-            let scheduled_delay = match self.kernel {
-                Kernel::Compat => {
-                    if coin(&mut self.rng, p) {
-                        Some(1.0 + exponential(&mut self.rng, delay_mean))
-                    } else {
-                        None
-                    }
-                }
-                Kernel::EventStreams => {
-                    let mut s = self
-                        .root
-                        .derive(SALT_EXPOSE_SCHED)
-                        .derive(story.index() as u64)
-                        .derive(fan.index() as u64);
-                    if coin(&mut s, p) {
-                        Some(1.0 + exponential(&mut s, delay_mean))
-                    } else {
-                        None
-                    }
-                }
+            let scheduled_delay = if coin(&mut self.rng, p) {
+                Some(1.0 + exponential(&mut self.rng, delay_mean))
+            } else {
+                None
             };
             // Consume the pair either way, so another friend's vote
             // doesn't grant a second chance; the interface shows a
@@ -854,21 +610,14 @@ impl Codec for Ev {
             Ev::FrontBatch => out.put_u8(2),
             Ev::UpcomingBatch => out.put_u8(3),
             Ev::ExternalBatch => out.put_u8(4),
-            Ev::Submit => out.put_u8(5),
-            Ev::FrontSession => out.put_u8(6),
-            Ev::UpSession => out.put_u8(7),
-            Ev::ExternalArrival { story, rng, tau } => {
-                out.put_u8(8);
-                out.put_u32(story.0);
-                rng.encode(out);
-                out.put_f64(tau);
-            }
             Ev::Exposure {
                 fan,
                 story,
                 triggered_at,
                 from_submitter,
             } => {
+                // Tags 5-8 belonged to a retired kernel; the numbering
+                // stays so existing checkpoints keep decoding.
                 out.put_u8(9);
                 out.put_u32(fan.0);
                 out.put_u32(story.0);
@@ -885,14 +634,6 @@ impl Codec for Ev {
             2 => Ev::FrontBatch,
             3 => Ev::UpcomingBatch,
             4 => Ev::ExternalBatch,
-            5 => Ev::Submit,
-            6 => Ev::FrontSession,
-            7 => Ev::UpSession,
-            8 => Ev::ExternalArrival {
-                story: StoryId(r.get_u32()?),
-                rng: StreamRng::decode(r)?,
-                tau: r.get_f64()?,
-            },
             9 => Ev::Exposure {
                 fan: UserId(r.get_u32()?),
                 story: StoryId(r.get_u32()?),
@@ -914,9 +655,8 @@ impl Codec for Ev {
 /// (votes, statuses, qualities), per-story [`PromoterState`] partial
 /// sums, both listings, the pending event queue (as a nested
 /// [`EventQueue`] container, tombstones dropped), the exposure-dedup
-/// pair set (sorted), the tick-loop `StdRng` core, the four engine
-/// [`StreamRng`] streams with their continuous clocks, metrics, the
-/// clock, and the full [`SimConfig`].
+/// pair set (sorted), the tick-loop `StdRng` core, metrics, the clock,
+/// the external-discovery window start, and the full [`SimConfig`].
 ///
 /// **Rebuilt on restore** — pure functions of serialized state or of
 /// the context population: alias tables (from population weights), the
@@ -933,18 +673,13 @@ impl Snapshot for Sim {
         self.cfg.encode(&mut w);
         c.section("config", w.into_bytes());
 
+        // The leading tag names the kernel; only tag 0 (the tick-loop
+        // replay) exists. Restore reads the section as a prefix, so
+        // older checkpoints carrying trailing fields still resume.
         let mut w = ByteWriter::new();
-        w.put_u8(match self.kernel {
-            Kernel::Compat => 0,
-            Kernel::EventStreams => 1,
-        });
+        w.put_u8(0);
         w.put_u64(self.now.0);
         w.put_usize(self.external_lo);
-        w.put_u64(self.front_sessions);
-        w.put_u64(self.up_sessions);
-        w.put_f64(self.sub_tau);
-        w.put_f64(self.front_tau);
-        w.put_f64(self.up_tau);
         c.section("state", w.into_bytes());
 
         let mut w = ByteWriter::new();
@@ -1007,13 +742,6 @@ impl Snapshot for Sim {
         }
         c.section("rng", w.into_bytes());
 
-        let mut w = ByteWriter::new();
-        self.root.encode(&mut w);
-        self.sub_gap.encode(&mut w);
-        self.front_gap.encode(&mut w);
-        self.up_gap.encode(&mut w);
-        c.section("streams", w.into_bytes());
-
         c.finish()
     }
 }
@@ -1045,18 +773,12 @@ impl Restore for Sim {
         }
 
         let mut r = c.section_reader("state")?;
-        let kernel = match r.get_u8()? {
-            0 => Kernel::Compat,
-            1 => Kernel::EventStreams,
+        match r.get_u8()? {
+            0 => {}
             t => return Err(SnapshotError::Malformed(format!("kernel tag {t}"))),
-        };
+        }
         let now = Minute(r.get_u64()?);
         let external_lo = r.get_usize()?;
-        let front_sessions = r.get_u64()?;
-        let up_sessions = r.get_u64()?;
-        let sub_tau = r.get_f64()?;
-        let front_tau = r.get_f64()?;
-        let up_tau = r.get_f64()?;
 
         let metrics = SimMetrics::decode(&mut c.section_reader("metrics")?)?;
 
@@ -1112,12 +834,6 @@ impl Restore for Sim {
         let mut r = c.section_reader("rng")?;
         let rng = StdRng::from_state([r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?]);
 
-        let mut r = c.section_reader("streams")?;
-        let root = StreamRng::decode(&mut r)?;
-        let sub_gap = StreamRng::decode(&mut r)?;
-        let front_gap = StreamRng::decode(&mut r)?;
-        let up_gap = StreamRng::decode(&mut r)?;
-
         let browse_table = AliasTable::new(&pop.browse_weight).ok_or_else(|| {
             SnapshotError::Malformed("population browse weights yield no alias table".into())
         })?;
@@ -1140,17 +856,7 @@ impl Restore for Sim {
             niche_quality: LogNormal::new(cfg.niche_quality_mu, cfg.niche_quality_sigma),
             rng,
             external_lo,
-            root,
-            sub_gap,
-            sub_tau,
-            front_gap,
-            front_tau,
-            front_sessions,
-            up_gap,
-            up_tau,
-            up_sessions,
             events_fired: 0,
-            kernel,
             cfg,
             pop,
         })
@@ -1209,13 +915,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
         let pop = Population::generate(&mut rng, &PopulationConfig::toy(cfg.users));
         Sim::new(cfg, pop)
-    }
-
-    fn toy_streams_sim(seed: u64) -> Sim {
-        let cfg = SimConfig::toy(seed);
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xABCD);
-        let pop = Population::generate(&mut rng, &PopulationConfig::toy(cfg.users));
-        Sim::with_kernel(cfg, pop, Kernel::EventStreams)
     }
 
     #[test]
@@ -1333,7 +1032,6 @@ mod tests {
         let sim = toy_sim(9);
         assert_eq!(sim.config().users, 400);
         assert_eq!(sim.population().len(), 400);
-        assert_eq!(sim.kernel(), Kernel::Compat);
     }
 
     #[test]
@@ -1343,61 +1041,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let pop = Population::generate(&mut rng, &PopulationConfig::toy(10));
         let _ = Sim::new(cfg, pop);
-    }
-
-    #[test]
-    fn event_streams_kernel_is_deterministic() {
-        let mut a = toy_streams_sim(42);
-        let mut b = toy_streams_sim(42);
-        a.run(600);
-        b.run(600);
-        assert_eq!(a.metrics(), b.metrics());
-        for (x, y) in a.stories().iter().zip(b.stories()) {
-            assert_eq!(x.votes, y.votes);
-            assert_eq!(x.quality, y.quality);
-        }
-    }
-
-    #[test]
-    fn event_streams_kernel_upholds_core_invariants() {
-        let mut sim = toy_streams_sim(11);
-        sim.run(1200);
-        assert_eq!(sim.now(), Minute(1200));
-        assert!(sim.metrics().submissions > 0);
-        assert_eq!(sim.metrics().submissions as usize, sim.stories().len());
-        assert!(sim.metrics().promotions > 0, "nothing promoted");
-        assert_eq!(queue_boundary_violations(&sim), 0);
-        for s in sim.stories() {
-            assert!(s.votes.ats().windows(2).all(|w| w[0] <= w[1]));
-            assert_eq!(s.votes.get(0).user, s.submitter);
-            let mut users: Vec<UserId> = s.votes.iter().map(|v| v.user).collect();
-            users.sort_unstable();
-            let before = users.len();
-            users.dedup();
-            assert_eq!(users.len(), before, "duplicate votes on {}", s.id);
-        }
-        let story_votes: u64 = sim
-            .stories()
-            .iter()
-            .map(|s| s.vote_count() as u64 - 1)
-            .sum();
-        assert_eq!(sim.metrics().total_votes(), story_votes);
-    }
-
-    #[test]
-    fn event_streams_kernel_tracks_the_tick_loop_statistically() {
-        // Same model, different sample path: aggregate activity should
-        // land in the same ballpark as the Compat kernel.
-        let mut compat = toy_sim(2024);
-        let mut streams = toy_streams_sim(2024);
-        compat.run(2880);
-        streams.run(2880);
-        let (c, s) = (compat.metrics(), streams.metrics());
-        let ratio = s.submissions as f64 / c.submissions as f64;
-        assert!((0.7..1.4).contains(&ratio), "submission ratio {ratio}");
-        let vr = (s.total_votes().max(1)) as f64 / (c.total_votes().max(1)) as f64;
-        assert!((0.5..2.0).contains(&vr), "vote ratio {vr}");
-        assert!(s.votes_friends > 0 && s.votes_frontpage > 0);
     }
 
     #[test]
@@ -1413,13 +1056,6 @@ mod tests {
         for (x, y) in split.stories().iter().zip(whole.stories()) {
             assert_eq!(x.votes, y.votes);
         }
-
-        let mut split = toy_streams_sim(13);
-        split.run(200);
-        split.run(400);
-        let mut whole = toy_streams_sim(13);
-        whole.run(600);
-        assert_eq!(split.metrics(), whole.metrics());
     }
 
     fn toy_pop(seed: u64, users: usize) -> Population {
@@ -1442,31 +1078,21 @@ mod tests {
 
     #[test]
     fn snapshot_restore_resumes_bit_identically() {
-        for streams in [false, true] {
-            let mut straight = if streams {
-                toy_streams_sim(21)
-            } else {
-                toy_sim(21)
-            };
-            let mut paused = if streams {
-                toy_streams_sim(21)
-            } else {
-                toy_sim(21)
-            };
-            paused.run(350);
-            let bytes = paused.snapshot();
-            let mut resumed =
-                Sim::restore(&bytes, toy_pop(21, paused.config().users)).expect("restore");
-            // The restored sim snapshots back to the same bytes…
-            assert_eq!(resumed.snapshot(), bytes);
-            // …and the remainder of the run is bit-identical to never
-            // having paused at all.
-            straight.run(900);
-            paused.run(550);
-            resumed.run(550);
-            assert_same_trajectory(&straight, &paused);
-            assert_same_trajectory(&straight, &resumed);
-        }
+        let mut straight = toy_sim(21);
+        let mut paused = toy_sim(21);
+        paused.run(350);
+        let bytes = paused.snapshot();
+        let mut resumed =
+            Sim::restore(&bytes, toy_pop(21, paused.config().users)).expect("restore");
+        // The restored sim snapshots back to the same bytes…
+        assert_eq!(resumed.snapshot(), bytes);
+        // …and the remainder of the run is bit-identical to never
+        // having paused at all.
+        straight.run(900);
+        paused.run(550);
+        resumed.run(550);
+        assert_same_trajectory(&straight, &paused);
+        assert_same_trajectory(&straight, &resumed);
     }
 
     #[test]
@@ -1497,13 +1123,77 @@ mod tests {
         }
     }
 
+    /// Rebuild `bytes` with the "state" section replaced by `state`
+    /// and any `extra` sections appended.
+    fn with_state(bytes: &[u8], state: Vec<u8>, extra: &[(&str, Vec<u8>)]) -> Vec<u8> {
+        let c = SnapshotReader::parse(bytes).expect("parse");
+        let mut w = SnapshotWriter::new();
+        for name in c.section_names() {
+            let payload = if name == "state" {
+                state.clone()
+            } else {
+                c.section(name).expect("section").to_vec()
+            };
+            w.section(name, payload);
+        }
+        for (name, payload) in extra {
+            w.section(name, payload.clone());
+        }
+        w.finish()
+    }
+
+    #[test]
+    fn restore_accepts_checkpoints_with_trailing_state_fields() {
+        // Older checkpoints carried more fields after `external_lo`
+        // and a "streams" section; the restore reads only the prefix
+        // it needs and resumes on the same trajectory.
+        let mut straight = toy_sim(22);
+        let mut paused = toy_sim(22);
+        paused.run(300);
+        let bytes = paused.snapshot();
+        let mut state = SnapshotReader::parse(&bytes)
+            .expect("parse")
+            .section("state")
+            .expect("state")
+            .to_vec();
+        state.extend_from_slice(&[0u8; 40]);
+        let legacy = with_state(&bytes, state, &[("streams", vec![0u8; 64])]);
+        let mut resumed =
+            Sim::restore(&legacy, toy_pop(22, paused.config().users)).expect("restore");
+        assert_eq!(resumed.snapshot(), bytes);
+        straight.run(600);
+        resumed.run(300);
+        assert_same_trajectory(&straight, &resumed);
+    }
+
+    #[test]
+    fn restore_rejects_an_unknown_kernel_tag() {
+        let mut sim = toy_sim(23);
+        sim.run(60);
+        let bytes = sim.snapshot();
+        let mut state = SnapshotReader::parse(&bytes)
+            .expect("parse")
+            .section("state")
+            .expect("state")
+            .to_vec();
+        state[0] = 1;
+        match Sim::restore(
+            &with_state(&bytes, state, &[]),
+            toy_pop(23, sim.config().users),
+        ) {
+            Err(SnapshotError::Malformed(msg)) => assert!(msg.contains("kernel tag 1"), "{msg}"),
+            Err(other) => panic!("expected Malformed, got {other}"),
+            Ok(_) => panic!("restore accepted kernel tag 1"),
+        }
+    }
+
     #[test]
     fn run_budgeted_pauses_without_disturbing_the_trajectory() {
         // Drain the same horizon in tiny event budgets; state at the
         // end must match a single unbudgeted run — this is what lets a
         // sweep worker checkpoint every N events.
-        let mut budgeted = toy_streams_sim(17);
-        let mut straight = toy_streams_sim(17);
+        let mut budgeted = toy_sim(17);
+        let mut straight = toy_sim(17);
         let horizon = Minute(500);
         let mut slices = 0u32;
         while !budgeted.run_budgeted(horizon, 64) {

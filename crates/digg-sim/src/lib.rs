@@ -49,9 +49,7 @@
 //!   tick-loop baseline).
 //! * [`decay`] — novelty decay and page-position attention.
 //! * [`engine`] — the event-driven simulation engine on the
-//!   `des-core` kernel ([`Kernel::Compat`] replays the seed tick loop
-//!   draw-for-draw; [`Kernel::EventStreams`] skips idle minutes with
-//!   per-entity RNG streams).
+//!   `des-core` kernel, replaying the seed tick loop draw-for-draw.
 //! * [`baseline`] — the seed per-minute tick loop, kept verbatim as
 //!   the equivalence baseline for [`engine`].
 //! * [`sweep`] — the parallel scenario-sweep runner (deterministic

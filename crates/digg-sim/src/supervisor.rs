@@ -1380,10 +1380,10 @@ mod tests {
                 minutes: 240,
             },
             ScenarioSpec {
-                name: "toy-streams".into(),
+                name: "toy-quiet".into(),
                 cfg: quiet,
                 pop_cfg: PopulationConfig::toy(400),
-                kernel: Kernel::EventStreams,
+                kernel: Kernel::Compat,
                 minutes: 240,
             },
         ]
@@ -1416,7 +1416,7 @@ mod tests {
         let back: CellRequest = read_frame(&mut cursor).unwrap().expect("one frame");
         assert_eq!(back.cell, 7);
         assert_eq!(back.seed, 99);
-        assert_eq!(back.spec.name, "toy-streams");
+        assert_eq!(back.spec.name, "toy-quiet");
         assert_eq!(
             back.spec.cfg.submissions_per_minute.to_bits(),
             0.05f64.to_bits()

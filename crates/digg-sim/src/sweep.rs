@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 const POPULATION_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// One cell of a sweep grid: a named configuration to run for
-/// `minutes` on `kernel`. Serializable because the multi-process
+/// `minutes`. Serializable because the multi-process
 /// supervisor ([`crate::supervisor`]) ships specs to worker
 /// subprocesses over the frame protocol.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -32,7 +32,9 @@ pub struct ScenarioSpec {
     pub cfg: SimConfig,
     /// Population to generate for each run.
     pub pop_cfg: PopulationConfig,
-    /// Kernel to drive the run with.
+    /// Always [`Kernel::Compat`], the only kernel. Kept only because
+    /// the benchmark harness in `perfbench/` and the worker frame
+    /// format name it.
     pub kernel: Kernel,
     /// Simulated minutes per run.
     pub minutes: u64,
@@ -66,7 +68,7 @@ pub fn scenario_population(spec: &ScenarioSpec, seed: u64) -> Population {
 pub fn scenario_sim(spec: &ScenarioSpec, seed: u64) -> Sim {
     let mut cfg = spec.cfg.clone();
     cfg.seed = seed;
-    Sim::with_kernel(cfg, scenario_population(spec, seed), spec.kernel)
+    Sim::new(cfg, scenario_population(spec, seed))
 }
 
 /// Package a finished cell simulation into its [`ScenarioRun`].
@@ -199,10 +201,10 @@ mod tests {
                 minutes: 240,
             },
             ScenarioSpec {
-                name: "toy-streams".into(),
+                name: "toy-quiet".into(),
                 cfg: quiet,
                 pop_cfg: PopulationConfig::toy(400),
-                kernel: Kernel::EventStreams,
+                kernel: Kernel::Compat,
                 minutes: 240,
             },
         ]
@@ -298,8 +300,8 @@ mod tests {
             vec![
                 ("toy-compat", 7),
                 ("toy-compat", 8),
-                ("toy-streams", 7),
-                ("toy-streams", 8),
+                ("toy-quiet", 7),
+                ("toy-quiet", 8),
             ]
         );
         // Each run actually simulated: the clock advanced and the

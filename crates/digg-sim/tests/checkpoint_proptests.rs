@@ -20,9 +20,8 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
         any::<u64>(),
         0.05..0.4f64, // submissions per minute
         0.0..0.3f64,  // external rate
-        any::<bool>(),
     )
-        .prop_map(|(seed, subs, ext, streams)| {
+        .prop_map(|(seed, subs, ext)| {
             let mut cfg = SimConfig::toy(seed);
             cfg.submissions_per_minute = subs;
             cfg.external_rate = ext;
@@ -30,11 +29,7 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
                 name: "ckpt-prop".into(),
                 cfg,
                 pop_cfg: PopulationConfig::toy(400),
-                kernel: if streams {
-                    Kernel::EventStreams
-                } else {
-                    Kernel::Compat
-                },
+                kernel: Kernel::Compat,
                 minutes: MINUTES,
             }
         })
@@ -42,7 +37,7 @@ fn spec_strategy() -> impl Strategy<Value = ScenarioSpec> {
 
 /// Fingerprint of a finished sim: its own snapshot bytes. Two sims
 /// with equal bytes agree on every serialized field — stories, votes,
-/// listings, rng streams, event queue, metrics, clock.
+/// listings, rng state, event queue, metrics, clock.
 fn final_bytes(sim: &Sim) -> Vec<u8> {
     sim.snapshot()
 }
@@ -144,10 +139,10 @@ proptest! {
                 minutes: MINUTES,
             },
             ScenarioSpec {
-                name: "prop-streams".into(),
+                name: "prop-quiet".into(),
                 cfg: quiet,
                 pop_cfg: PopulationConfig::toy(400),
-                kernel: Kernel::EventStreams,
+                kernel: Kernel::Compat,
                 minutes: MINUTES,
             },
         ];

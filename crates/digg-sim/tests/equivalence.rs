@@ -9,7 +9,7 @@
 use digg_sim::baseline::TickSim;
 use digg_sim::config::PromoterKind;
 use digg_sim::population::{Population, PopulationConfig};
-use digg_sim::{Kernel, Sim, SimConfig};
+use digg_sim::{Sim, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -38,7 +38,7 @@ fn run_both(cfg: SimConfig, minutes: u64) -> (TickSim, Sim) {
     let pop = population(cfg.seed, cfg.users);
     let mut tick = TickSim::new(cfg.clone(), pop.clone());
     let pop = population(cfg.seed, cfg.users);
-    let mut event = Sim::with_kernel(cfg, pop, Kernel::Compat);
+    let mut event = Sim::new(cfg, pop);
     tick.run(minutes);
     event.run(minutes);
     (tick, event)
@@ -85,7 +85,7 @@ fn compat_kernel_matches_across_incremental_runs() {
     let pop = population(cfg.seed, cfg.users);
     let mut tick = TickSim::new(cfg.clone(), pop.clone());
     let pop = population(cfg.seed, cfg.users);
-    let mut event = Sim::with_kernel(cfg, pop, Kernel::Compat);
+    let mut event = Sim::new(cfg, pop);
     for span in [1u64, 59, 240, 7, 693, 200] {
         tick.run(span);
         event.run(span);
@@ -96,17 +96,10 @@ fn compat_kernel_matches_across_incremental_runs() {
 #[test]
 fn submissions_invariant_holds_on_the_event_kernel() {
     // Regression for the `Sim::run` invariant that previously lived
-    // only in the doctest: every submission creates exactly one story,
-    // on both kernels.
-    for kernel in [Kernel::Compat, Kernel::EventStreams] {
-        let cfg = SimConfig::toy(123);
-        let pop = population(cfg.seed, cfg.users);
-        let mut sim = Sim::with_kernel(cfg, pop, kernel);
-        sim.run(900);
-        assert_eq!(
-            sim.metrics().submissions as usize,
-            sim.stories().len(),
-            "submissions/stories mismatch on {kernel:?}"
-        );
-    }
+    // only in the doctest: every submission creates exactly one story.
+    let cfg = SimConfig::toy(123);
+    let pop = population(cfg.seed, cfg.users);
+    let mut sim = Sim::new(cfg, pop);
+    sim.run(900);
+    assert_eq!(sim.metrics().submissions as usize, sim.stories().len());
 }

@@ -343,8 +343,18 @@ impl<'a> SnapshotReader<'a> {
                 expected: FORMAT_VERSION,
             });
         }
-        let count = r.get_u32()?;
-        let mut table = Vec::with_capacity(count as usize);
+        let count = r.get_u32()? as usize;
+        // The count is untrusted: before it sizes an allocation, check
+        // that the remaining bytes could hold that many table entries
+        // at their smallest (name_len u32 + empty name + payload_len
+        // u64 + checksum u64).
+        if count > r.remaining() / (4 + 8 + 8) {
+            return Err(SnapshotError::Malformed(format!(
+                "section count {count} exceeds what {} remaining bytes can hold",
+                r.remaining()
+            )));
+        }
+        let mut table = Vec::with_capacity(count);
         for _ in 0..count {
             let name_len = r.get_u32()? as usize;
             let name_bytes = r.get_bytes(name_len)?;
@@ -522,6 +532,22 @@ mod tests {
         for cut in 0..bytes.len() {
             // Every possible truncation parses to a typed error.
             assert!(SnapshotReader::parse(&bytes[..cut]).is_err(), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn oversized_section_count_is_typed() {
+        // The count field (bytes 12..16) claims far more sections than
+        // the buffer holds: a typed error, not a huge allocation.
+        for count in [u32::MAX, 1 << 31, 1_000_000] {
+            let mut bytes = two_section_container();
+            bytes[12..16].copy_from_slice(&count.to_le_bytes());
+            match SnapshotReader::parse(&bytes) {
+                Err(SnapshotError::Malformed(msg)) => {
+                    assert!(msg.contains("section count"), "{msg}")
+                }
+                other => panic!("expected Malformed for count {count}, got {other:?}"),
+            }
         }
     }
 
