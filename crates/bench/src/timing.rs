@@ -1,8 +1,8 @@
 //! The workspace's **only** wall-clock access point.
 //!
-//! The determinism contract (DESIGN.md §13, enforced by
-//! `digg-lint`'s `no-wallclock` rule) bans `Instant::now` /
-//! `SystemTime` everywhere else: artifacts must be pure functions of
+//! The determinism contract (DESIGN.md §13, enforced by clippy's
+//! `disallowed_methods` list in `clippy.toml`) bans `Instant::now` /
+//! `SystemTime::now` everywhere else: artifacts must be pure functions of
 //! `(seed, config)`, never of when or how fast they were computed.
 //! Benchmark *timing rows* are the one deliberate exception — they
 //! measure the hardware, are labelled as measurements in
@@ -17,6 +17,10 @@ use std::time::{Duration, Instant};
 pub struct Stopwatch(Instant);
 
 /// Start measuring.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the workspace's one wall-clock access point: labelled measurement rows, never artifacts"
+)]
 pub fn stopwatch() -> Stopwatch {
     Stopwatch(Instant::now())
 }

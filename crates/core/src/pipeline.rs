@@ -345,7 +345,10 @@ pub fn run_pipeline_with_coverage(
     let mut sweeper = StorySweeper::new(&ds.network);
     for row in &holdout {
         let r = row.record;
-        // digg-lint: allow(no-lib-unwrap) — invariant: the holdout was filtered to augmented records three lines up
+        #[expect(
+            clippy::expect_used,
+            reason = "invariant: the holdout was filtered to augmented records three lines up"
+        )]
         let actual = r.is_interesting(cfg.threshold).expect("filtered augmented");
         // One sweep determines every prefix; the full-window features
         // here are bit-identical to `StoryFeatures::extract`.

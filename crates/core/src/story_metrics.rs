@@ -182,7 +182,10 @@ where
 {
     match try_sweep_map(graph, items, threads, f) {
         Ok(out) => out,
-        // digg-lint: allow(no-lib-unwrap) — infallible-layer contract: re-raise the aggregated WorkerPanic for fail-fast callers
+        #[expect(
+            clippy::panic,
+            reason = "infallible-layer contract: re-raise the aggregated WorkerPanic for fail-fast callers"
+        )]
         Err(e) => panic!("worker thread panicked: {e}"),
     }
 }

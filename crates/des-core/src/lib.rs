@@ -29,6 +29,15 @@
 //! the analytics fan-out and the scenario-sweep runner share one
 //! implementation.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 pub mod par;
 pub mod queue;
 pub mod rng;

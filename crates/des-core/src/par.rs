@@ -22,6 +22,10 @@
 //! scenario-sweep runner, the degradation harness) route through the
 //! fallible layer so a single panicking scenario fails that scenario,
 //! not the whole batch.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the deterministic fan-out primitive itself: chunks are recombined in task order"
+)]
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -228,7 +232,10 @@ where
 {
     match try_par_map(items, threads, f) {
         Ok(out) => out,
-        // digg-lint: allow(no-lib-unwrap) — infallible-layer contract: re-raise the aggregated WorkerPanic for fail-fast callers
+        #[expect(
+            clippy::panic,
+            reason = "infallible-layer contract: re-raise the aggregated WorkerPanic for fail-fast callers"
+        )]
         Err(e) => panic!("worker thread panicked: {e}"),
     }
 }
@@ -276,7 +283,10 @@ where
             .collect();
         let mut out = make();
         for h in handles {
-            // digg-lint: allow(no-lib-unwrap) — fold has no fallible layer: a worker panic propagates fail-fast by design
+            #[expect(
+                clippy::expect_used,
+                reason = "fold has no fallible layer: a worker panic propagates fail-fast by design"
+            )]
             merge(&mut out, h.join().expect("worker thread panicked"));
         }
         out
@@ -302,7 +312,10 @@ where
 {
     match try_par_join(tasks) {
         Ok(out) => out,
-        // digg-lint: allow(no-lib-unwrap) — infallible-layer contract: re-raise the aggregated WorkerPanic for fail-fast callers
+        #[expect(
+            clippy::panic,
+            reason = "infallible-layer contract: re-raise the aggregated WorkerPanic for fail-fast callers"
+        )]
         Err(e) => panic!("worker thread panicked: {e}"),
     }
 }

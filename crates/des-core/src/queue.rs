@@ -128,12 +128,15 @@ impl<T> EventQueue<T> {
     pub fn schedule(&mut self, time: u64, class: u8, payload: T) -> EventId {
         let slot = match self.free.pop() {
             Some(s) => s,
+            #[expect(
+                clippy::expect_used,
+                reason = "the packed-id layout caps the slab at u32 slots; beyond it is a programmer error"
+            )]
             None => {
                 self.slots.push(Slot {
                     generation: 0,
                     state: SlotState::Free,
                 });
-                // digg-lint: allow(no-lib-unwrap) — the packed-id layout caps the slab at u32 slots; beyond it is a programmer error
                 u32::try_from(self.slots.len() - 1).expect("event slab exceeds u32 slots")
             }
         };
@@ -223,8 +226,12 @@ impl<T> EventQueue<T> {
         let Reverse((time, class, _seq, id)) = self.heap.pop()?;
         let slot = id.slot();
         let state = std::mem::replace(&mut self.slots[slot].state, SlotState::Free);
-        let SlotState::Occupied { payload, .. } = state else {
-            // digg-lint: allow(no-lib-unwrap) — heap/slab coherence invariant: skim_tombstones just dropped every dead head
+        #[expect(
+            clippy::unreachable,
+            reason = "heap/slab coherence invariant: skim_tombstones just dropped every dead head"
+        )]
+        let SlotState::Occupied { payload, .. } = state
+        else {
             unreachable!("skim_tombstones left a dead head");
         };
         self.release(slot);

@@ -2,8 +2,8 @@
 //!
 //! `lint-boundary.toml` partitions the workspace into kernel crates
 //! (bit-replayable — the in-source rules stay strict there) and shell
-//! crates (harness/driver layer — wall clock, ambient RNG, async, and
-//! CLI panics are theirs to own). The partition is only sound if the
+//! crates (harness/driver layer — async, truncating casts and CLI
+//! panics are theirs to own). The partition is only sound if the
 //! kernel cannot *reach* the shell: a kernel crate listing a shell
 //! crate in `[dependencies]` would let nondeterminism back in through
 //! the build graph, so that edge is an error reported against the

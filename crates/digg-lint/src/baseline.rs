@@ -1,12 +1,13 @@
 //! The lint-baseline gate: the committed ledger the CI job compares
-//! against, so the pragma count can only shrink.
+//! against, so the suppression count can only shrink.
 //!
 //! `results/lint_baseline.json` is simply the `--json` report of a
 //! clean tree (refresh it with `--write-baseline`). The gate
 //! (`--baseline PATH`) re-lints the workspace and fails if the total
-//! honoured-pragma count grew, or if any single rule's suppressed
-//! count grew — so trading a wallclock exemption for three new unwrap
-//! exemptions is caught even when the total is flat. Shrinkage is
+//! suppression count grew, or if any single rule's suppressed count
+//! grew — so trading a cast pragma for three new
+//! `#[expect(clippy::unwrap_used)]` attributes is caught even when the
+//! total is flat. Pragmas and `#[expect]` attributes share one ledger. Shrinkage is
 //! reported as a friendly nudge to refresh the committed file.
 //!
 //! Parsing is a deliberately tiny key scanner over the fixed-format
@@ -19,7 +20,8 @@ use std::collections::BTreeMap;
 /// The subset of the committed report the gate compares.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Baseline {
-    /// Total allow pragmas honoured when the baseline was written.
+    /// Total suppressions (pragmas + `#[expect]` lints) when the
+    /// baseline was written.
     pub allows_honoured: usize,
     /// Per-rule suppressed-violation counts.
     pub suppressed_by_rule: BTreeMap<String, usize>,
@@ -44,8 +46,9 @@ pub fn parse(text: &str) -> Result<Baseline, String> {
             if pair.is_empty() {
                 continue;
             }
+            // Split at the last colon: stock lint names contain `::`.
             let (key, value) = pair
-                .split_once(':')
+                .rsplit_once(':')
                 .ok_or_else(|| format!("baseline: bad ledger entry `{pair}`"))?;
             let key = key.trim().trim_matches('"').to_string();
             let value: usize = value
@@ -94,12 +97,12 @@ pub fn compare(current: &WorkspaceReport, baseline: &Baseline) -> Comparison {
 
     match current.allows_honoured.cmp(&baseline.allows_honoured) {
         std::cmp::Ordering::Greater => failures.push(format!(
-            "pragma ledger grew: {} allow(s) honoured vs {} in the baseline — \
+            "suppression ledger grew: {} suppression(s) vs {} in the baseline — \
              remove an exemption instead of adding one",
             current.allows_honoured, baseline.allows_honoured
         )),
         std::cmp::Ordering::Less => notes.push(format!(
-            "pragma ledger shrank ({} -> {}): refresh with --write-baseline",
+            "suppression ledger shrank ({} -> {}): refresh with --write-baseline",
             baseline.allows_honoured, current.allows_honoured
         )),
         std::cmp::Ordering::Equal => {}
@@ -149,7 +152,7 @@ mod tests {
 
     #[test]
     fn round_trips_through_render_json() {
-        let ws = report(7, &[("no-wallclock", 3), ("no-lib-unwrap", 4)]);
+        let ws = report(7, &[("snapshot-coverage", 3), ("clippy::unwrap_used", 4)]);
         let json = crate::report::render_json(
             &ws.dirty,
             ws.files_scanned,
@@ -158,34 +161,40 @@ mod tests {
         );
         let b = parse(&json).expect("parse");
         assert_eq!(b.allows_honoured, 7);
-        assert_eq!(b.suppressed_by_rule.get("no-wallclock"), Some(&3));
-        assert_eq!(b.suppressed_by_rule.get("no-lib-unwrap"), Some(&4));
+        assert_eq!(b.suppressed_by_rule.get("snapshot-coverage"), Some(&3));
+        assert_eq!(b.suppressed_by_rule.get("clippy::unwrap_used"), Some(&4));
         assert!(compare(&ws, &b).passed());
     }
 
     #[test]
     fn total_growth_fails() {
-        let b = baseline(5, &[("no-wallclock", 5)]);
-        let cmp = compare(&report(6, &[("no-wallclock", 5)]), &b);
+        let b = baseline(5, &[("snapshot-coverage", 5)]);
+        let cmp = compare(&report(6, &[("snapshot-coverage", 5)]), &b);
         assert!(!cmp.passed());
         assert!(cmp.failures[0].contains("ledger grew"));
     }
 
     #[test]
     fn per_rule_growth_fails_even_when_total_is_flat() {
-        // Trading one wallclock exemption for one unwrap exemption
-        // keeps the total flat but still fails the gate.
-        let b = baseline(5, &[("no-wallclock", 3), ("no-lib-unwrap", 2)]);
-        let cmp = compare(&report(5, &[("no-wallclock", 2), ("no-lib-unwrap", 3)]), &b);
+        // Trading one pragma for one `#[expect]` keeps the total flat
+        // but still fails the gate.
+        let b = baseline(5, &[("snapshot-coverage", 3), ("clippy::unwrap_used", 2)]);
+        let cmp = compare(
+            &report(5, &[("snapshot-coverage", 2), ("clippy::unwrap_used", 3)]),
+            &b,
+        );
         assert!(!cmp.passed());
-        assert!(cmp.failures.iter().any(|f| f.contains("no-lib-unwrap")));
+        assert!(cmp
+            .failures
+            .iter()
+            .any(|f| f.contains("clippy::unwrap_used")));
     }
 
     #[test]
     fn new_rule_key_with_nonzero_count_fails() {
-        let b = baseline(2, &[("no-wallclock", 2)]);
+        let b = baseline(2, &[("snapshot-coverage", 2)]);
         let cmp = compare(
-            &report(2, &[("no-wallclock", 1), ("hot-path-alloc", 1)]),
+            &report(2, &[("snapshot-coverage", 1), ("hot-path-alloc", 1)]),
             &b,
         );
         assert!(!cmp.passed());
@@ -194,8 +203,8 @@ mod tests {
 
     #[test]
     fn shrinkage_passes_with_refresh_note() {
-        let b = baseline(5, &[("no-wallclock", 5)]);
-        let cmp = compare(&report(4, &[("no-wallclock", 4)]), &b);
+        let b = baseline(5, &[("snapshot-coverage", 5)]);
+        let cmp = compare(&report(4, &[("snapshot-coverage", 4)]), &b);
         assert!(cmp.passed());
         assert_eq!(cmp.notes.len(), 2);
         assert!(cmp.notes[0].contains("--write-baseline"));

@@ -8,8 +8,8 @@
 //! doc sentence like "uses `thread_rng`" or on a format string.
 //!
 //! A second pass over the blanked code tracks brace depth to mark
-//! the `#[cfg(test)]` / `#[test]` regions (where the library-panic
-//! rules do not apply), the bodies of `#[derive(Serialize)]` items
+//! the `#[cfg(test)]` / `#[test]` regions (where the truncating-cast
+//! rule does not apply), the bodies of `#[derive(Serialize)]` items
 //! (where the unordered-collection rule does), and the bodies of
 //! types with an `impl Snapshot for …` in the same file (where the
 //! same rule applies: snapshot bytes must not depend on hash order).

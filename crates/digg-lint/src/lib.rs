@@ -4,40 +4,41 @@
 //! contract: all randomness flows through `des_core::StreamRng`,
 //! payloads are bit-identical at any `DIGG_THREADS`, artifacts never
 //! depend on wall-clock or hash-iteration order, and library code
-//! reports failures as typed errors instead of panicking. This crate
-//! makes that contract *written and enforced*: a self-contained
-//! static-analysis pass (own comment/string-aware lexer, item parser
-//! and workspace symbol graph, zero dependencies) that CI runs on
-//! every push.
+//! reports failures as typed errors instead of panicking. Stock lints
+//! enforce the parts they can express (DESIGN.md §13): `clippy.toml`
+//! bans the wall clock, ambient entropy and raw `std::thread` fan-out;
+//! each kernel crate's `lib.rs` denies `clippy::unwrap_used` and the
+//! other panic lints; `[workspace.lints]` denies `unsafe_code` and bare
+//! or reason-less `#[allow]`s. This crate is the rest: a
+//! self-contained static-analysis pass (own comment/string-aware
+//! lexer, item parser and workspace symbol graph, zero dependencies)
+//! for the rules no stock lint can state. CI runs both on every push.
 //!
-//! Two layers of rules — see [`rules`] for the ids, DESIGN.md §13 for
-//! the per-line invariants and §18 for the workspace analyses:
+//! Seven rules — see [`rules`] for the ids, DESIGN.md §13 for the
+//! per-line invariants and §18 for the workspace analyses:
 //!
 //! | rule | guards |
 //! |------|--------|
-//! | `no-wallclock` | artifacts independent of real time |
-//! | `no-ambient-rng` | all randomness keyed by `(seed, stream)` |
-//! | `no-lib-unwrap` | library failures are typed, not panics |
 //! | `no-unordered-serialize` | serialized bytes independent of hash order |
-//! | `no-truncating-cast` | ids/counts never silently truncated |
-//! | `raw-thread-fanout` | all fan-out through `des_core::par` |
-//! | `no-unchecked-mmap` | `unsafe` confined to the one audited mmap module |
+//! | `no-truncating-cast` | ids/counts never silently truncated (`u64→usize` is exempt, unlike `clippy::cast_possible_truncation`) |
 //! | `snapshot-coverage` | every field of a Snapshot/Restore type round-trips |
 //! | `no-async-kernel` | the replay kernel is synchronous |
 //! | `kernel-dep-shell` | kernel crates cannot depend on shell crates |
 //! | `hot-path-alloc` | the per-vote kernels stay allocation-free |
 //! | `unordered-taint` | no hash-order data reaches a serialization sink |
 //!
-//! The kernel/shell crate partition and the file-level carve-outs
-//! live in `lint-boundary.toml` at the workspace root ([`manifest`]).
-//! Inline suppression is only possible via
+//! The kernel/shell crate partition lives in `lint-boundary.toml` at
+//! the workspace root ([`manifest`]). Inline suppression of a digg-lint
+//! rule is only possible via
 //!
 //! ```text
-//! // digg-lint: allow(no-lib-unwrap) — reason the invariant holds
+//! // digg-lint: allow(no-truncating-cast) — reason the invariant holds
 //! ```
 //!
-//! and an allow that suppresses nothing is itself an error, so the
-//! exemption ledger can only shrink — enforced in CI by the baseline
+//! and an allow that suppresses nothing is itself an error. Stock
+//! lints are suppressed with `#[expect(lint, reason = "…")]` at the
+//! site, which the compiler polices the same way. Both kinds land in
+//! one ledger that can only shrink — enforced in CI by the baseline
 //! gate (`--baseline results/lint_baseline.json`). Run with
 //! `cargo run -p digg-lint -- --workspace` (add `--json` for the
 //! machine-readable report).
@@ -58,34 +59,15 @@ use rules::{Scope, Violation};
 use std::collections::BTreeMap;
 use std::path::Path;
 
-/// Linter configuration. In workspace mode this is loaded from
-/// `lint-boundary.toml` when present; the defaults keep the historic
-/// allowlists for single-file and unit-test use. Paths are
-/// workspace-relative suffix matches.
-#[derive(Debug, Clone)]
+/// Linter configuration. In workspace mode this is derived from
+/// `lint-boundary.toml` when present; the default (every file is
+/// kernel code) serves single-file and unit-test use.
+#[derive(Debug, Clone, Default)]
 pub struct Config {
-    /// Path prefixes of shell crates (harness/driver layer): wall
-    /// clock, ambient RNG, async, and CLI panics are legal there.
+    /// Workspace-relative path prefixes of shell crates (the
+    /// harness/driver layer): async and truncating casts are legal
+    /// there.
     pub shell_paths: Vec<String>,
-    /// Kernel files allowed to read the wall clock.
-    pub wallclock_allow: Vec<String>,
-    /// Modules allowed raw `std::thread` fan-out (the deterministic
-    /// primitives themselves).
-    pub fanout_allow: Vec<String>,
-    /// Modules allowed `unsafe` / `from_raw_parts` — exactly the one
-    /// audited mmap module; everything else is safe Rust by decree.
-    pub mmap_allow: Vec<String>,
-}
-
-impl Default for Config {
-    fn default() -> Config {
-        Config {
-            shell_paths: Vec::new(),
-            wallclock_allow: vec!["crates/bench/src/timing.rs".to_string()],
-            fanout_allow: vec!["crates/des-core/src/par.rs".to_string()],
-            mmap_allow: vec!["crates/social-graph/src/mmap.rs".to_string()],
-        }
-    }
 }
 
 impl Config {
@@ -96,16 +78,13 @@ impl Config {
                 .shell_paths
                 .iter()
                 .any(|p| !p.is_empty() && rel.starts_with(p)),
-            wallclock_exempt: self.wallclock_allow.iter().any(|p| rel.ends_with(p)),
-            fanout_exempt: self.fanout_allow.iter().any(|p| rel.ends_with(p)),
-            mmap_exempt: self.mmap_allow.iter().any(|p| rel.ends_with(p)),
         }
     }
 
     /// Resolve the effective workspace config from `lint-boundary.toml`
-    /// (replacing the default allowlists entirely) and return the
-    /// shell crate names. Every workspace crate must be assigned to
-    /// exactly one side — a new crate cannot land unpartitioned.
+    /// and return the shell crate names. Every workspace crate must be
+    /// assigned to exactly one side — a new crate cannot land
+    /// unpartitioned.
     fn from_boundary(
         boundary: &manifest::BoundaryFile,
         crates: &[model::CrateInfo],
@@ -140,15 +119,7 @@ impl Config {
             .filter(|c| boundary.shell.iter().any(|n| n == &c.name))
             .map(|c| c.dir_prefix.clone())
             .collect();
-        Ok((
-            Config {
-                shell_paths,
-                wallclock_allow: boundary.wallclock.clone(),
-                fanout_allow: boundary.fanout.clone(),
-                mmap_allow: boundary.unsafe_mmap.clone(),
-            },
-            boundary.shell.clone(),
-        ))
+        Ok((Config { shell_paths }, boundary.shell.clone()))
     }
 }
 
@@ -159,10 +130,12 @@ pub struct FileReport {
     pub path: String,
     /// Surviving violations (pragmas already applied), in line order.
     pub violations: Vec<Violation>,
-    /// Allow pragmas that suppressed at least one violation.
+    /// Allow pragmas that suppressed at least one violation, plus
+    /// one per lint named in an `#[expect(…)]` attribute.
     pub allows_honoured: usize,
-    /// Rule id of every violation a pragma suppressed.
-    pub suppressed_rules: Vec<&'static str>,
+    /// Rule id of every violation a pragma suppressed, and the lint
+    /// name (e.g. `clippy::unwrap_used`) of every `#[expect(…)]` entry.
+    pub suppressed_rules: Vec<String>,
 }
 
 /// Lint one file's source text (the unit the fixture tests drive).
@@ -187,19 +160,23 @@ fn finish_file(
     raw_violations: Vec<Violation>,
 ) -> FileReport {
     let (allows, mut malformed) = pragma::parse(map, raw);
-    let (mut violations, suppressed_rules) =
-        pragma::apply_counted(map, raw, raw_violations, &allows);
+    let (mut violations, suppressed) = pragma::apply_counted(map, raw, raw_violations, &allows);
     let unused = violations
         .iter()
         .filter(|v| v.rule == rules::UNUSED_ALLOW)
         .count();
     violations.append(&mut malformed);
     violations.sort_by_key(|v| v.line);
+    let expects = pragma::expect_lints(map);
     FileReport {
         path: rel_path.to_string(),
         violations,
-        allows_honoured: allows.len().saturating_sub(unused),
-        suppressed_rules,
+        allows_honoured: allows.len().saturating_sub(unused) + expects.len(),
+        suppressed_rules: suppressed
+            .into_iter()
+            .map(String::from)
+            .chain(expects)
+            .collect(),
     }
 }
 
@@ -210,10 +187,11 @@ pub struct WorkspaceReport {
     pub dirty: Vec<FileReport>,
     /// Total files scanned.
     pub files_scanned: usize,
-    /// Total allow pragmas honoured across the tree.
+    /// Total suppressions across the tree: allow pragmas honoured
+    /// plus lints named in `#[expect(…)]` attributes.
     pub allows_honoured: usize,
-    /// Suppressed-violation count per rule id (the per-rule ledger
-    /// the baseline gate keeps shrink-only).
+    /// Suppression count per digg-lint rule id or stock lint name (the
+    /// per-rule ledger the baseline gate keeps shrink-only).
     pub suppressed_by_rule: BTreeMap<String, usize>,
 }
 
@@ -288,7 +266,7 @@ pub fn lint_workspace(root: &Path, config: &Config) -> std::io::Result<Workspace
         let fr = finish_file(&entry.rel, &entry.map, &raw, raw_violations);
         allows += fr.allows_honoured;
         for r in &fr.suppressed_rules {
-            *suppressed_by_rule.entry((*r).to_string()).or_insert(0) += 1;
+            *suppressed_by_rule.entry(r.clone()).or_insert(0) += 1;
         }
         if !fr.violations.is_empty() {
             dirty.push(fr);
@@ -334,49 +312,25 @@ mod tests {
     }
 
     #[test]
-    fn timing_module_is_wallclock_exempt_by_default() {
-        let src = "pub fn t() { let _ = std::time::Instant::now(); }";
-        let fr = lint_source("crates/bench/src/timing.rs", src, &Config::default());
-        assert!(fr.violations.is_empty());
-        let fr = lint_source("crates/bench/src/lib.rs", src, &Config::default());
-        assert_eq!(fr.violations.len(), 1);
-    }
-
-    #[test]
-    fn des_core_par_is_fanout_exempt_by_default() {
-        let src = "pub fn f() { std::thread::scope(|_s| {}); }";
-        let fr = lint_source("crates/des-core/src/par.rs", src, &Config::default());
-        assert!(fr.violations.is_empty());
-        let fr = lint_source("crates/core/src/story_metrics.rs", src, &Config::default());
-        assert_eq!(fr.violations.len(), 1);
-    }
-
-    #[test]
-    fn mmap_module_is_unsafe_exempt_by_default() {
-        let src = "pub fn f(p: *const u8) { let _ = unsafe { *p }; }";
-        let fr = lint_source("crates/social-graph/src/mmap.rs", src, &Config::default());
-        assert!(fr.violations.is_empty());
-        let fr = lint_source("crates/social-graph/src/graph.rs", src, &Config::default());
-        assert_eq!(fr.violations.len(), 1);
-        assert_eq!(fr.violations[0].rule, rules::NO_UNCHECKED_MMAP);
-    }
-
-    #[test]
     fn allows_honoured_are_counted() {
-        let src = "fn f() { x.unwrap(); } // digg-lint: allow(no-lib-unwrap) — fixture\n";
+        let src = "fn f() -> u32 { n as u32 } // digg-lint: allow(no-truncating-cast) — fixture\n";
         let fr = lint_source("crates/x/src/lib.rs", src, &Config::default());
         assert!(fr.violations.is_empty());
         assert_eq!(fr.allows_honoured, 1);
-        assert_eq!(fr.suppressed_rules, vec![rules::NO_LIB_UNWRAP]);
+        assert_eq!(fr.suppressed_rules, vec![rules::NO_TRUNCATING_CAST]);
+        // Stock-lint expectations join the same ledger, one per lint.
+        let src = "#[expect(clippy::panic, clippy::todo, reason = \"fixture\")]\nfn g() {}\n";
+        let fr = lint_source("crates/x/src/lib.rs", src, &Config::default());
+        assert_eq!(fr.allows_honoured, 2);
+        assert_eq!(fr.suppressed_rules, vec!["clippy::panic", "clippy::todo"]);
     }
 
     #[test]
     fn shell_paths_waive_harness_rules() {
         let config = Config {
             shell_paths: vec!["crates/bench/".to_string()],
-            ..Config::default()
         };
-        let src = "pub fn t() { let _ = std::time::Instant::now(); }";
+        let src = "pub async fn t() {}";
         let fr = lint_source("crates/bench/src/chaos.rs", src, &config);
         assert!(fr.violations.is_empty(), "{:?}", fr.violations);
         let fr = lint_source("crates/core/src/pipeline.rs", src, &config);

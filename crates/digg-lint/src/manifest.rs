@@ -7,7 +7,7 @@
 //! (possibly multi-line, with `#` comments), and dotted dependency
 //! keys like `digg-core.workspace = true`. The linter stays
 //! dependency-free, and a malformed file is a typed error, never a
-//! panic: the lint crate is kernel code and lints itself.
+//! panic.
 
 /// A parse failure with its 1-based line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -99,23 +99,14 @@ pub fn parse_cargo_toml(text: &str) -> Result<CrateManifest, ManifestError> {
     Ok(out)
 }
 
-/// The parsed `lint-boundary.toml`: the kernel/shell crate partition
-/// and the file-level allowlists that used to live in per-site
-/// pragmas.
+/// The parsed `lint-boundary.toml`: the kernel/shell crate partition.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BoundaryFile {
     /// `[crates] kernel`: crates where determinism rules are strict.
     pub kernel: Vec<String>,
-    /// `[crates] shell`: harness/driver crates — wall clock, ambient
-    /// RNG, async, and CLI panics are legal; artifact-order rules
-    /// still apply.
+    /// `[crates] shell`: harness/driver crates — async and truncating
+    /// casts are legal; artifact-order rules still apply.
     pub shell: Vec<String>,
-    /// `[allow] wallclock`: kernel files allowed to read the clock.
-    pub wallclock: Vec<String>,
-    /// `[allow] fanout`: files allowed raw `std::thread` use.
-    pub fanout: Vec<String>,
-    /// `[allow] unsafe_mmap`: the audited unsafe module(s).
-    pub unsafe_mmap: Vec<String>,
 }
 
 /// Extract the quoted strings of a TOML array body fragment.
@@ -132,7 +123,7 @@ fn quoted_strings(fragment: &str, out: &mut Vec<String>) {
 }
 
 /// Parse `lint-boundary.toml`. Unknown sections or keys are an error:
-/// a typo'd allowlist key must not silently allow nothing.
+/// a typo'd partition key must not silently leave a crate unassigned.
 pub fn parse_boundary(text: &str) -> Result<BoundaryFile, ManifestError> {
     let mut out = BoundaryFile::default();
     let mut section = String::new();
@@ -154,7 +145,7 @@ pub fn parse_boundary(text: &str) -> Result<BoundaryFile, ManifestError> {
             continue;
         }
         if let Some(sec) = section_header(&line) {
-            if sec != "crates" && sec != "allow" {
+            if sec != "crates" {
                 return Err(ManifestError {
                     line: lineno,
                     msg: format!("unknown section [{sec}]"),
@@ -203,9 +194,6 @@ fn push_values(
     let target = match (section, key) {
         ("crates", "kernel") => &mut out.kernel,
         ("crates", "shell") => &mut out.shell,
-        ("allow", "wallclock") => &mut out.wallclock,
-        ("allow", "fanout") => &mut out.fanout,
-        ("allow", "unsafe_mmap") => &mut out.unsafe_mmap,
         _ => {
             return Err(ManifestError {
                 line: lineno,
@@ -252,27 +240,26 @@ mod tests {
     #[test]
     fn boundary_roundtrip() {
         let b = parse_boundary(
-            "# header comment\n[crates]\nkernel = [\n  \"des-core\", \"digg-sim\", # trailing\n]\nshell = [\"digg-bench\"]\n\n[allow]\nwallclock = [\n  \"crates/digg-sim/src/supervisor.rs\",  # watchdog\n]\nfanout = []\nunsafe_mmap = [\"crates/social-graph/src/mmap.rs\"]\n",
+            "# header comment\n[crates]\nkernel = [\n  \"des-core\", \"digg-sim\", # trailing\n]\nshell = [\"digg-bench\"]\n",
         )
         .unwrap();
         assert_eq!(b.kernel, vec!["des-core", "digg-sim"]);
         assert_eq!(b.shell, vec!["digg-bench"]);
-        assert_eq!(b.wallclock, vec!["crates/digg-sim/src/supervisor.rs"]);
-        assert!(b.fanout.is_empty());
-        assert_eq!(b.unsafe_mmap.len(), 1);
     }
 
     #[test]
     fn boundary_rejects_unknown_keys() {
         assert!(parse_boundary("[crates]\nkrenel = [\"x\"]\n").is_err());
         assert!(parse_boundary("[boundary]\n").is_err());
-        assert!(parse_boundary("[allow]\nwallclock = \"not-an-array\"\n").is_err());
+        // The retired file-level allowlists are unknown now, not ignored.
+        assert!(parse_boundary("[allow]\nwallclock = []\n").is_err());
+        assert!(parse_boundary("[crates]\nshell = \"not-an-array\"\n").is_err());
         assert!(parse_boundary("[crates]\nkernel = [\n\"unterminated\",\n").is_err());
     }
 
     #[test]
     fn hash_inside_quotes_is_not_a_comment() {
-        let b = parse_boundary("[allow]\nwallclock = [\"crates/a#b.rs\"]\n").unwrap();
-        assert_eq!(b.wallclock, vec!["crates/a#b.rs"]);
+        let b = parse_boundary("[crates]\nshell = [\"a#b\"]\n").unwrap();
+        assert_eq!(b.shell, vec!["a#b"]);
     }
 }

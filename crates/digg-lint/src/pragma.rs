@@ -12,6 +12,11 @@
 //! thing on its line, the next code line. Every allow must suppress at
 //! least one violation — an unused allow is an error ([`UNUSED_ALLOW`])
 //! so the exemption ledger can only shrink over time.
+//!
+//! Stock rustc/clippy lints are suppressed with `#[expect(lint, reason
+//! = "…")]` instead; the compiler polices those (`allow_attributes*`,
+//! `unfulfilled_lint_expectations`), and [`expect_lints`] feeds them
+//! into the same shrink-only ledger.
 
 use crate::lexer::SourceMap;
 use crate::rules::{Violation, MALFORMED_PRAGMA, RULES, UNUSED_ALLOW};
@@ -158,11 +163,46 @@ pub fn apply_counted(
     (out, suppressed)
 }
 
+/// Lint names of every `#[expect(…)]` / `#![expect(…)]` attribute in a
+/// file, one entry per named lint (`reason = …` excluded). Scans the
+/// blanked code, so attributes quoted in comments or strings never
+/// count, and an attribute wrapped over several lines still does.
+pub fn expect_lints(map: &SourceMap) -> Vec<String> {
+    let code = map.code.join("\n");
+    let mut out = Vec::new();
+    let mut rest = code.as_str();
+    while let Some(at) = rest.find('#') {
+        let attr = rest[at + 1..].trim_start();
+        let attr = attr.strip_prefix('!').unwrap_or(attr).trim_start();
+        rest = &rest[at + 1..];
+        let Some(args) = attr
+            .strip_prefix('[')
+            .map(str::trim_start)
+            .and_then(|a| a.strip_prefix("expect"))
+            .map(str::trim_start)
+            .and_then(|a| a.strip_prefix('('))
+        else {
+            continue;
+        };
+        let Some(close) = args.find(')') else {
+            continue;
+        };
+        out.extend(
+            args[..close]
+                .split(',')
+                .map(str::trim)
+                .filter(|item| !item.is_empty() && !item.starts_with("reason"))
+                .map(|item| item.split_whitespace().collect::<String>()),
+        );
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::lexer::lex;
-    use crate::rules::{check, Scope, NO_LIB_UNWRAP};
+    use crate::rules::{check, Scope, NO_TRUNCATING_CAST};
     use crate::walk::FileKind;
 
     fn run(src: &str) -> Vec<Violation> {
@@ -171,9 +211,6 @@ mod tests {
         let scope = Scope {
             kind: FileKind::Lib,
             shell: false,
-            wallclock_exempt: false,
-            fanout_exempt: false,
-            mmap_exempt: false,
         };
         let (allows, mut bad) = parse(&map, &raw);
         let mut v = apply(&map, &raw, check(&map, scope, &raw), &allows);
@@ -185,19 +222,19 @@ mod tests {
     #[test]
     fn trailing_pragma_suppresses_own_line() {
         let src =
-            "fn f() { x.unwrap(); } // digg-lint: allow(no-lib-unwrap) — invariant: x is Some";
+            "fn f() { n as u32; } // digg-lint: allow(no-truncating-cast) — invariant: n < 2^32";
         assert!(run(src).is_empty());
     }
 
     #[test]
     fn standalone_pragma_covers_next_line() {
-        let src = "// digg-lint: allow(no-lib-unwrap) — checked above\nfn f() { x.unwrap(); }";
+        let src = "// digg-lint: allow(no-truncating-cast) — checked above\nfn f() { n as u32; }";
         assert!(run(src).is_empty());
     }
 
     #[test]
     fn unused_allow_is_an_error() {
-        let src = "// digg-lint: allow(no-lib-unwrap) — stale\nfn f() {}";
+        let src = "// digg-lint: allow(no-truncating-cast) — stale\nfn f() {}";
         let v = run(src);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, UNUSED_ALLOW);
@@ -206,17 +243,17 @@ mod tests {
     #[test]
     fn pragma_does_not_reach_across_code() {
         let src =
-            "// digg-lint: allow(no-lib-unwrap) — misplaced\nfn f() {}\nfn g() { x.unwrap(); }";
+            "// digg-lint: allow(no-truncating-cast) — misplaced\nfn f() {}\nfn g() { n as u32; }";
         let v = run(src);
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().any(|v| v.rule == UNUSED_ALLOW));
-        assert!(v.iter().any(|v| v.rule == NO_LIB_UNWRAP));
+        assert!(v.iter().any(|v| v.rule == NO_TRUNCATING_CAST));
     }
 
     #[test]
     fn missing_reason_or_unknown_rule_is_malformed() {
         for src in [
-            "fn f() { x.unwrap(); } // digg-lint: allow(no-lib-unwrap)",
+            "fn f() { n as u32; } // digg-lint: allow(no-truncating-cast)",
             "fn f() {} // digg-lint: allow(made-up-rule) — why",
             "fn f() {} // digg-lint: allowing things",
         ] {
@@ -227,7 +264,27 @@ mod tests {
 
     #[test]
     fn multi_rule_pragma() {
-        let src = "fn f() { let x = (t.unwrap() as u32, Instant::now()); } // digg-lint: allow(no-lib-unwrap, no-truncating-cast, no-wallclock) — fixture exercising all three";
+        let src = "async fn f() -> u32 { n as u32 } // digg-lint: allow(no-truncating-cast, no-async-kernel) — fixture exercising both";
         assert!(run(src).is_empty(), "{:?}", run(src));
+    }
+
+    #[test]
+    fn expect_attributes_name_their_lints() {
+        let src = "#![expect(unsafe_code, reason = \"mmap\")]\n#[expect(\n    clippy::panic,\n    clippy::expect_used,\n    reason = \"a, b (c)\"\n)]\nfn f() {}\n#[expect (clippy::disallowed_methods)]\nfn g() {}\n";
+        assert_eq!(
+            expect_lints(&lex(src)),
+            vec![
+                "unsafe_code",
+                "clippy::panic",
+                "clippy::expect_used",
+                "clippy::disallowed_methods"
+            ]
+        );
+    }
+
+    #[test]
+    fn quoted_or_commented_expect_is_not_counted() {
+        let src = "// #[expect(clippy::panic)]\nlet s = \"#[expect(clippy::panic)]\";\n#[allow(dead_code)]\nfn f() {}\n";
+        assert!(expect_lints(&lex(src)).is_empty());
     }
 }

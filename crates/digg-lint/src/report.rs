@@ -24,18 +24,18 @@ pub fn render_text(reports: &[FileReport], files_scanned: usize, allows: usize) 
     }
     if total == 0 {
         out.push_str(&format!(
-            "digg-lint: clean — {files_scanned} files, {allows} justified allow pragma(s)\n"
+            "digg-lint: clean — {files_scanned} files, {allows} justified suppression(s)\n"
         ));
     } else {
         out.push_str(&format!(
-            "digg-lint: {total} violation(s) in {files_scanned} files ({allows} allow pragma(s) honoured)\n"
+            "digg-lint: {total} violation(s) in {files_scanned} files ({allows} suppression(s) honoured)\n"
         ));
     }
     out
 }
 
 /// Machine-readable report. `suppressed_by_rule` is the per-rule
-/// pragma ledger; pass an empty map in single-file mode.
+/// suppression ledger; pass an empty map in single-file mode.
 pub fn render_json(
     reports: &[FileReport],
     files_scanned: usize,
@@ -112,32 +112,32 @@ mod tests {
         vec![FileReport {
             path: "crates/x/src/lib.rs".into(),
             violations: vec![Violation {
-                rule: "no-lib-unwrap",
+                rule: "no-truncating-cast",
                 line: 3,
-                snippet: "x.unwrap(); \"q\"".into(),
+                snippet: "n as u32; \"q\"".into(),
             }],
             allows_honoured: 2,
-            suppressed_rules: vec!["no-wallclock", "no-wallclock"],
+            suppressed_rules: vec!["clippy::panic".into(), "clippy::panic".into()],
         }]
     }
 
     #[test]
     fn text_report_lists_and_sums() {
         let text = render_text(&sample(), 5, 2);
-        assert!(text.contains("crates/x/src/lib.rs:3: [no-lib-unwrap]"));
-        assert!(text.contains("1 violation(s) in 5 files (2 allow pragma(s) honoured)"));
+        assert!(text.contains("crates/x/src/lib.rs:3: [no-truncating-cast]"));
+        assert!(text.contains("1 violation(s) in 5 files (2 suppression(s) honoured)"));
         let clean = render_text(&[], 5, 2);
         assert!(clean.contains("clean"));
     }
 
     #[test]
     fn json_report_is_valid_and_escaped() {
-        let ledger: BTreeMap<String, usize> = [("no-wallclock".to_string(), 2)].into();
+        let ledger: BTreeMap<String, usize> = [("clippy::panic".to_string(), 2)].into();
         let json = render_json(&sample(), 5, 2, &ledger);
         assert!(json.contains("\"files_scanned\": 5"));
         assert!(json.contains("\\\"q\\\""));
-        assert!(json.contains("\"rule\": \"no-lib-unwrap\""));
-        assert!(json.contains("\"no-wallclock\": 2"));
+        assert!(json.contains("\"rule\": \"no-truncating-cast\""));
+        assert!(json.contains("\"clippy::panic\": 2"));
         // Balanced braces/brackets as a cheap validity check.
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());

@@ -9,13 +9,8 @@ use crate::lexer::{has_token, SourceMap};
 use crate::walk::FileKind;
 
 /// Stable rule identifiers (the ids pragmas name).
-pub const NO_WALLCLOCK: &str = "no-wallclock";
-pub const NO_AMBIENT_RNG: &str = "no-ambient-rng";
-pub const NO_LIB_UNWRAP: &str = "no-lib-unwrap";
 pub const NO_UNORDERED_SERIALIZE: &str = "no-unordered-serialize";
 pub const NO_TRUNCATING_CAST: &str = "no-truncating-cast";
-pub const RAW_THREAD_FANOUT: &str = "raw-thread-fanout";
-pub const NO_UNCHECKED_MMAP: &str = "no-unchecked-mmap";
 /// Workspace analysis (DESIGN.md §18): a named field of a type with an
 /// `impl Snapshot`/`Restore` that the corresponding impl bodies never
 /// reference.
@@ -39,14 +34,9 @@ pub const UNUSED_ALLOW: &str = "unused-allow";
 pub const MALFORMED_PRAGMA: &str = "malformed-pragma";
 
 /// The suppressible rules, in reporting order.
-pub const RULES: [&str; 12] = [
-    NO_WALLCLOCK,
-    NO_AMBIENT_RNG,
-    NO_LIB_UNWRAP,
+pub const RULES: [&str; 7] = [
     NO_UNORDERED_SERIALIZE,
     NO_TRUNCATING_CAST,
-    RAW_THREAD_FANOUT,
-    NO_UNCHECKED_MMAP,
     SNAPSHOT_COVERAGE,
     NO_ASYNC_KERNEL,
     KERNEL_DEP_SHELL,
@@ -58,18 +48,6 @@ pub const RULES: [&str; 12] = [
 /// the JSON report).
 pub fn describe(rule: &str) -> &'static str {
     match rule {
-        NO_WALLCLOCK => {
-            "wall-clock read (Instant::now/SystemTime) outside the allowlisted timing module; \
-             artifacts must not depend on real time"
-        }
-        NO_AMBIENT_RNG => {
-            "ambient randomness (thread_rng/from_entropy/rand::random/OsRng); all randomness \
-             must flow through des_core::StreamRng or a caller-seeded rng"
-        }
-        NO_LIB_UNWRAP => {
-            "panic path (unwrap/expect/panic!/unreachable!) in non-test library code; return a \
-             typed error or justify with a pragma"
-        }
         NO_UNORDERED_SERIALIZE => {
             "HashMap/HashSet field in a #[derive(Serialize)] item or a type implementing the \
              digg_snapshot::Snapshot trait; serialized artifacts and snapshots must use \
@@ -79,15 +57,6 @@ pub fn describe(rule: &str) -> &'static str {
         NO_TRUNCATING_CAST => {
             "narrowing `as` cast to a <=32-bit integer; use try_into or a checked-id helper \
              (UserId::from_index, StoryId::from_index, try_build)"
-        }
-        RAW_THREAD_FANOUT => {
-            "raw std::thread spawn/scope outside des_core::par; fan-out must go through the \
-             deterministic chunked primitives"
-        }
-        NO_UNCHECKED_MMAP => {
-            "`unsafe` block/fn or from_raw_parts outside the single allowlisted mmap module \
-             (crates/social-graph/src/mmap.rs); all other code stays safe Rust and consumes \
-             mapped memory only through GraphMap's checked slice accessors"
         }
         SNAPSHOT_COVERAGE => {
             "named field of a Snapshot/Restore type never referenced in that impl's bodies \
@@ -134,18 +103,9 @@ pub struct Violation {
 pub struct Scope {
     pub kind: FileKind,
     /// File belongs to a shell crate (`lint-boundary.toml`): the
-    /// harness/driver layer. Wall clock, ambient RNG, async, and CLI
-    /// panics are legal there; artifact-order and unsafe rules are
-    /// not.
+    /// harness/driver layer. Async and truncating casts are legal
+    /// there; the artifact-order rules are not.
     pub shell: bool,
-    /// File is allowlisted for wall-clock reads (the bench timing
-    /// module).
-    pub wallclock_exempt: bool,
-    /// File is allowlisted for raw thread fan-out (`des_core::par`).
-    pub fanout_exempt: bool,
-    /// File is the one allowlisted unsafe mmap module
-    /// (`social-graph::mmap`).
-    pub mmap_exempt: bool,
 }
 
 /// Run every rule over one lexed file. Returned violations are in
@@ -170,23 +130,6 @@ pub fn check(map: &SourceMap, scope: Scope, raw_lines: &[&str]) -> Vec<Violation
         };
 
         if !scope.shell
-            && !scope.wallclock_exempt
-            && (code.contains("Instant::now") || has_token(code, "SystemTime"))
-        {
-            push(NO_WALLCLOCK);
-        }
-
-        if !scope.shell
-            && (has_token(code, "thread_rng")
-                || has_token(code, "from_entropy")
-                || has_token(code, "from_os_rng")
-                || has_token(code, "OsRng")
-                || code.contains("rand::random"))
-        {
-            push(NO_AMBIENT_RNG);
-        }
-
-        if !scope.shell
             && (has_token(code, "async")
                 || code.contains(".await")
                 || has_token(code, "tokio")
@@ -195,21 +138,8 @@ pub fn check(map: &SourceMap, scope: Scope, raw_lines: &[&str]) -> Vec<Violation
             push(NO_ASYNC_KERNEL);
         }
 
-        if scope.kind == FileKind::Lib && !in_test && !scope.shell {
-            let panicky = code.contains(".unwrap()")
-                || code.contains(".unwrap_err()")
-                || code.contains(".expect(")
-                || code.contains(".expect_err(")
-                || code.contains("panic!(")
-                || code.contains("unreachable!(")
-                || code.contains("todo!(")
-                || code.contains("unimplemented!(");
-            if panicky {
-                push(NO_LIB_UNWRAP);
-            }
-            if has_narrowing_cast(code) {
-                push(NO_TRUNCATING_CAST);
-            }
+        if scope.kind == FileKind::Lib && !in_test && !scope.shell && has_narrowing_cast(code) {
+            push(NO_TRUNCATING_CAST);
         }
 
         let in_serialize = map.in_serialize.get(idx).copied().unwrap_or(false);
@@ -233,21 +163,6 @@ pub fn check(map: &SourceMap, scope: Scope, raw_lines: &[&str]) -> Vec<Violation
             if !skipped {
                 push(NO_UNORDERED_SERIALIZE);
             }
-        }
-
-        if !scope.fanout_exempt
-            && (code.contains("thread::spawn")
-                || code.contains("thread::scope")
-                || code.contains("thread::Builder"))
-        {
-            push(RAW_THREAD_FANOUT);
-        }
-
-        // Applies everywhere, tests included: the soundness argument
-        // for the mapped-memory casts lives in one audited module, and
-        // a second `unsafe` anywhere would silently widen it.
-        if !scope.mmap_exempt && (has_token(code, "unsafe") || has_token(code, "from_raw_parts")) {
-            push(NO_UNCHECKED_MMAP);
         }
     }
     out
@@ -277,9 +192,6 @@ mod tests {
         Scope {
             kind: FileKind::Lib,
             shell: false,
-            wallclock_exempt: false,
-            fanout_exempt: false,
-            mmap_exempt: false,
         }
     }
 
@@ -299,8 +211,8 @@ mod tests {
     }
 
     #[test]
-    fn unwrap_only_fires_in_lib_non_test() {
-        let src = "fn f() { x.unwrap(); }\n#[cfg(test)]\nmod t {\n    fn g() { y.unwrap(); }\n}";
+    fn casts_only_fire_in_lib_non_test() {
+        let src = "fn f() { n as u32; }\n#[cfg(test)]\nmod t {\n    fn g() { m as u32; }\n}";
         let v = check_src(src, lib_scope());
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].line, 1);
@@ -312,24 +224,9 @@ mod tests {
     }
 
     #[test]
-    fn wallclock_respects_exemption() {
-        let src = "let t0 = Instant::now();";
-        assert_eq!(check_src(src, lib_scope())[0].rule, NO_WALLCLOCK);
-        let exempt = Scope {
-            wallclock_exempt: true,
-            ..lib_scope()
-        };
-        assert!(check_src(src, exempt).is_empty());
-    }
-
-    #[test]
-    fn rng_in_string_or_comment_is_ignored() {
-        let src = "// thread_rng is banned\nlet s = \"thread_rng\";";
+    fn code_in_string_or_comment_is_ignored() {
+        let src = "// n as u32 is banned\nlet s = \"n as u32\";";
         assert!(check_src(src, lib_scope()).is_empty());
-        assert_eq!(
-            check_src("let r = rand::thread_rng();", lib_scope())[0].rule,
-            NO_AMBIENT_RNG
-        );
     }
 
     #[test]
@@ -370,36 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn unsafe_fires_everywhere_except_the_mmap_module() {
-        let src = "unsafe { std::slice::from_raw_parts(p, n) }";
-        let v = check_src(src, lib_scope());
-        // Both the `unsafe` token and the cast helper fire on the line.
-        assert!(v.iter().all(|v| v.rule == NO_UNCHECKED_MMAP));
-        assert!(!v.is_empty());
-        let exempt = Scope {
-            mmap_exempt: true,
-            ..lib_scope()
-        };
-        assert!(check_src(src, exempt).is_empty());
-        // Tests are NOT exempt: unsafe in a test is still unsafe.
-        let in_test = "#[cfg(test)]\nmod t {\n    fn g() { unsafe { f() } }\n}";
-        assert_eq!(check_src(in_test, lib_scope()).len(), 1);
-        // Comments and strings never match.
-        assert!(check_src("// unsafe from_raw_parts\n", lib_scope()).is_empty());
-    }
-
-    #[test]
-    fn fanout_rule_and_exemption() {
-        let src = "std::thread::scope(|s| {});";
-        assert_eq!(check_src(src, lib_scope())[0].rule, RAW_THREAD_FANOUT);
-        let exempt = Scope {
-            fanout_exempt: true,
-            ..lib_scope()
-        };
-        assert!(check_src(src, exempt).is_empty());
-    }
-
-    #[test]
     fn async_is_banned_in_kernel_but_legal_in_shell() {
         let shell = Scope {
             shell: true,
@@ -424,23 +291,15 @@ mod tests {
     }
 
     #[test]
-    fn shell_scope_waives_harness_rules_but_keeps_order_and_unsafe() {
+    fn shell_scope_waives_casts_but_keeps_artifact_order() {
         let shell = Scope {
             shell: true,
             ..lib_scope()
         };
-        // Wall clock, ambient RNG, panics, casts: the shell owns them.
-        let harness = "fn main() { let t = Instant::now(); let r = rand::thread_rng(); let n = big as u32; x.unwrap(); }";
-        assert!(
-            check_src(harness, shell).is_empty(),
-            "{:?}",
-            check_src(harness, shell)
-        );
-        assert_eq!(check_src(harness, lib_scope()).len(), 4);
-        // Artifact order, fan-out, and unsafe stay policed.
+        let harness = "fn main() { let n = big as u32; }";
+        assert!(check_src(harness, shell).is_empty());
+        assert_eq!(check_src(harness, lib_scope()).len(), 1);
         let ordered = "#[derive(Serialize)]\nstruct S {\n    m: HashMap<u32, u32>,\n}";
         assert_eq!(check_src(ordered, shell).len(), 1);
-        assert_eq!(check_src("std::thread::spawn(f);", shell).len(), 1);
-        assert_eq!(check_src("unsafe { f() }", shell).len(), 1);
     }
 }

@@ -5,12 +5,11 @@ use std::path::{Path, PathBuf};
 /// How a file participates in the rule set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
-    /// Library source: every rule applies, including the panic and
-    /// narrowing-cast rules.
+    /// Library source: every rule applies, including the
+    /// narrowing-cast rule.
     Lib,
-    /// Binary target (`src/bin/*`, `src/main.rs`): panic/cast rules
-    /// are waived (a CLI may exit via panic-free messages it owns),
-    /// the determinism rules still apply.
+    /// Binary target (`src/bin/*`, `src/main.rs`): the cast rule is
+    /// waived, the determinism rules still apply.
     Bin,
     /// Integration tests, benches, examples: determinism rules only.
     TestOrBench,

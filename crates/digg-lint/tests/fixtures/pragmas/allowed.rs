@@ -1,9 +1,9 @@
 //! Fixture: both pragma placements — standalone line covering the
 //! next line, and trailing comment covering its own line.
 
-pub fn first(xs: &[u32]) -> u32 {
-    // digg-lint: allow(no-lib-unwrap) — fixture: caller guarantees non-empty input
-    *xs.first().unwrap()
+pub fn first(xs: &[u64]) -> u32 {
+    // digg-lint: allow(no-truncating-cast) — fixture: values are bounded by the u32 population
+    xs[0] as u32
 }
 
 pub fn to_id(i: usize) -> u32 {

@@ -1,17 +1,17 @@
 //! Fixture: unparseable pragmas are never silently ignored.
 
-pub fn a(xs: &[u32]) -> u32 {
+pub fn a(i: usize) -> u32 {
     // digg-lint: allow(no-such-rule) — unknown rule id
-    *xs.first().unwrap()
+    i as u32
 }
 
-pub fn b(xs: &[u32]) -> u32 {
-    // digg-lint: allow(no-lib-unwrap)
-    *xs.first().unwrap()
+pub fn b(i: usize) -> u32 {
+    // digg-lint: allow(no-truncating-cast)
+    i as u32
 }
 
-pub fn c(xs: &[u32]) -> u32 {
-    // digg-lint: allow(no-lib-unwrap) — covers only the next line, not two down
+pub fn c(xs: &[usize]) -> u32 {
+    // digg-lint: allow(no-truncating-cast) — covers only the next line, not two down
     let n = xs.len();
-    *xs.get(n - 1).unwrap()
+    xs[n - 1] as u32
 }

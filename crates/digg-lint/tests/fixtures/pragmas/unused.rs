@@ -1,6 +1,6 @@
 //! Fixture: a pragma that suppresses nothing must itself be flagged.
 
-pub fn fine(xs: &[u32]) -> Option<u32> {
-    // digg-lint: allow(no-lib-unwrap) — stale: this line no longer unwraps
-    xs.first().copied()
+pub fn fine(i: usize) -> u64 {
+    // digg-lint: allow(no-truncating-cast) — stale: this line no longer narrows
+    i as u64
 }

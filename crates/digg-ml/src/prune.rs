@@ -88,7 +88,10 @@ pub fn prune(node: &mut Node, cf: f64) {
         let as_leaf = collapse(node);
         let leaf_err = match &as_leaf {
             Node::Leaf { total, errors, .. } => pessimistic_errors(*errors, *total, cf),
-            // digg-lint: allow(no-lib-unwrap) — collapse() returns Node::Leaf by construction; the arm exists only for match exhaustiveness
+            #[expect(
+                clippy::unreachable,
+                reason = "collapse() returns Node::Leaf by construction; the arm exists only for match exhaustiveness"
+            )]
             Node::Split { .. } => unreachable!("collapse returns a leaf"),
         };
         let tree_err = subtree_pessimistic(node, cf);

@@ -62,8 +62,11 @@ impl TickSim {
     /// Panics if the configuration is invalid or the population size
     /// disagrees with `cfg.users`.
     pub fn new(cfg: SimConfig, pop: Population) -> TickSim {
+        #[expect(
+            clippy::panic,
+            reason = "documented constructor contract (\"# Panics\"): invalid config is a caller bug"
+        )]
         if let Err(e) = cfg.validate() {
-            // digg-lint: allow(no-lib-unwrap) — documented constructor contract ("# Panics"): invalid config is a caller bug
             panic!("invalid SimConfig: {e}");
         }
         assert_eq!(
@@ -71,11 +74,17 @@ impl TickSim {
             pop.len(),
             "config.users must match population size"
         );
+        #[expect(
+            clippy::expect_used,
+            reason = "Population::validate (checked above via cfg) guarantees positive weights"
+        )]
         let browse_table =
-            // digg-lint: allow(no-lib-unwrap) — Population::validate (checked above via cfg) guarantees positive weights
             AliasTable::new(&pop.browse_weight).expect("population browse weights are positive");
+        #[expect(
+            clippy::expect_used,
+            reason = "Population::validate (checked above via cfg) guarantees positive weights"
+        )]
         let submit_table =
-            // digg-lint: allow(no-lib-unwrap) — Population::validate (checked above via cfg) guarantees positive weights
             AliasTable::new(&pop.submit_weight).expect("submission weights are positive");
         let rng = StdRng::seed_from_u64(cfg.seed);
         let promoter = promotion::from_kind(cfg.promoter);

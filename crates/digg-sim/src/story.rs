@@ -26,8 +26,11 @@ impl StoryId {
     ///
     /// Panics if `i` exceeds `u32::MAX`.
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "the single checked index→id conversion point the cast rule routes callers to"
+    )]
     pub fn from_index(i: usize) -> StoryId {
-        // digg-lint: allow(no-lib-unwrap) — the single checked index→id conversion point the cast rule routes callers to
         StoryId(u32::try_from(i).expect("story index exceeds u32 range"))
     }
 }

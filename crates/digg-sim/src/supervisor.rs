@@ -1017,6 +1017,10 @@ impl Worker {
             .take()
             .ok_or_else(|| SweepError::Protocol("worker stdout not piped".into()))?;
         let (tx, frames) = mpsc::channel();
+        #[expect(
+            clippy::disallowed_types,
+            reason = "blocking-I/O watchdog pump; results are still reassembled in grid order by the shard driver"
+        )]
         let reader = std::thread::Builder::new()
             .name("sweep-worker-reader".into())
             .spawn(move || loop {
@@ -1058,6 +1062,10 @@ impl Worker {
         if write_frame(&mut self.stdin, req).is_err() {
             return Err(FailureKind::Crashed);
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the watchdog anchors recovery deadlines in real time but never lets them touch a cell's result (DESIGN.md §17)"
+        )]
         let started = std::time::Instant::now();
         loop {
             let elapsed = started.elapsed();

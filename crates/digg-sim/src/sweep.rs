@@ -133,18 +133,24 @@ impl CellOutcome {
 pub fn run_sweep(specs: &[ScenarioSpec], seeds: &[u64], threads: usize) -> Vec<ScenarioRun> {
     let outcomes = match try_run_sweep(specs, seeds, threads) {
         Ok(outcomes) => outcomes,
-        // digg-lint: allow(no-lib-unwrap) — infallible-layer contract: re-raise the aggregated WorkerPanic for fail-fast callers
+        #[expect(
+            clippy::panic,
+            reason = "infallible-layer contract: re-raise the aggregated WorkerPanic for fail-fast callers"
+        )]
         Err(e) => panic!("worker thread panicked: {e}"),
     };
     outcomes
         .into_iter()
         .map(|o| match o {
             CellOutcome::Ok(run) => run,
+            #[expect(
+                clippy::panic,
+                reason = "infallible-layer contract: a poisoned cell is fatal here; survivors use try_run_sweep"
+            )]
             CellOutcome::Panicked {
                 scenario,
                 seed,
                 message,
-                // digg-lint: allow(no-lib-unwrap) — infallible-layer contract: a poisoned cell is fatal here; survivors use try_run_sweep
             } => panic!("scenario '{scenario}' (seed {seed}) panicked: {message}"),
         })
         .collect()

@@ -89,7 +89,10 @@ pub fn loglog_scatter(points: &[(f64, f64)], cols: usize, rows: usize) -> String
     out.push_str(&format!("y: {:.1} .. {:.1} (log scale)\n", ymin, ymax));
     for row in grid {
         out.push('|');
-        // digg-lint: allow(no-lib-unwrap) — grid cells are written only from the ASCII glyph set a few lines up
+        #[expect(
+            clippy::expect_used,
+            reason = "grid cells are written only from the ASCII glyph set a few lines up"
+        )]
         out.push_str(std::str::from_utf8(&row).expect("ascii grid"));
         out.push('\n');
     }

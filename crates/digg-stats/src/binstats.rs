@@ -77,7 +77,7 @@ impl GroupedSummary {
                 let mut sorted = vals.clone();
                 sorted.sort_by(f64::total_cmp);
                 let median = quantile_sorted(&sorted, 0.5);
-                // digg-lint: allow(no-lib-unwrap) — group vecs are created non-empty by the entry().push() accumulation above
+                #[expect(clippy::expect_used, reason = "group vecs are created non-empty by the entry().push() accumulation above")]
                 let (lo, hi) = Summary::trimmed_range(&sorted).expect("group is nonempty");
                 let mean = sorted.iter().sum::<f64>() / sorted.len() as f64;
                 GroupRow {

@@ -1,14 +1,12 @@
-//! Chunked-bitset membership scratch — the dense counterpart of
-//! [`VisitBuffer`](crate::VisitBuffer).
+//! Chunked-bitset membership scratch.
 //!
-//! Both types answer the same question ("is user `u` in the current
-//! set?") with O(1) insert/test and O(1) epoch-bump clear; they differ
-//! in layout. `VisitBuffer` spends one `u32` stamp per user — 4 MB of
-//! scratch at one million users, which thrashes L2 when the vote-apply
-//! hot path probes it at random. [`FanBitset`] packs the same set into
-//! one *bit* per user (64-bit words) plus one `u32` epoch per word:
-//! 250 KB per million users, so the whole reached-set stays
-//! cache-resident through a story sweep. The per-*word* epoch keeps the
+//! [`FanBitset`] answers "is user `u` in the current set?" with O(1)
+//! insert/test and O(1) epoch-bump clear. One `u32` stamp per user
+//! would cost 4 MB of scratch at one million users, which thrashes L2
+//! when the vote-apply hot path probes it at random; [`FanBitset`]
+//! instead packs the set into one *bit* per user (64-bit words) plus
+//! one `u32` epoch per word: 250 KB per million users, so the whole
+//! reached-set stays cache-resident through a story sweep. The per-*word* epoch keeps the
 //! O(1) clear: a word whose epoch is stale reads as all-zero and is
 //! lazily zeroed on first write after a clear.
 //!
@@ -51,8 +49,7 @@ const EMPTY_LANE: Lane = Lane { word: 0, epoch: 0 };
 /// Membership is "word epoch equals current epoch AND bit set";
 /// [`FanBitset::clear`] just increments the epoch, invalidating every
 /// word at once. When the epoch wraps around `u32::MAX` both arrays
-/// are zeroed once — amortised cost stays O(1), exactly like
-/// [`VisitBuffer`](crate::VisitBuffer).
+/// are zeroed once — amortised cost stays O(1).
 ///
 /// # Examples
 ///
@@ -308,13 +305,12 @@ mod tests {
     }
 
     #[test]
-    fn agrees_with_visit_buffer_on_a_random_workload() {
-        // Same deterministic op sequence through both set types; every
-        // observable must match (the bit-identity contract the sweep
-        // engine relies on when it swaps layouts).
+    fn agrees_with_btreeset_on_a_random_workload() {
+        // Same deterministic op sequence through the bitset and an
+        // independent reference set; every observable must match.
         let n = 500usize;
         let mut dense = FanBitset::new(n);
-        let mut stamps = crate::visit::VisitBuffer::new(n);
+        let mut reference = std::collections::BTreeSet::new();
         let mut x = 0x2545_f491_4f6c_dd1du64;
         for step in 0..4_000u32 {
             x ^= x << 13;
@@ -323,17 +319,17 @@ mod tests {
             let u = UserId::from_index((x % n as u64) as usize);
             if step % 97 == 0 {
                 dense.clear();
-                stamps.clear();
+                reference.clear();
             } else {
-                assert_eq!(dense.insert(u), stamps.insert(u), "step {step}");
+                assert_eq!(dense.insert(u), reference.insert(u), "step {step}");
             }
-            assert_eq!(dense.contains(u), stamps.contains(u));
-            assert_eq!(dense.len(), stamps.len());
+            assert_eq!(dense.contains(u), reference.contains(&u));
+            assert_eq!(dense.len(), reference.len());
         }
         assert_eq!(
             dense.members().collect::<Vec<_>>(),
-            stamps.members().collect::<Vec<_>>()
+            reference.iter().copied().collect::<Vec<_>>()
         );
-        assert_eq!(dense.count_ones(), stamps.len());
+        assert_eq!(dense.count_ones(), reference.len());
     }
 }

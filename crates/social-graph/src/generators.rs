@@ -96,6 +96,10 @@ pub fn erdos_renyi<R: Rng + ?Sized>(rng: &mut R, n: usize, p: f64) -> SocialGrap
 ///
 /// Panics if `p` is not in `[0, 1]`, or if the realised edge count
 /// exceeds the `u32` CSR offset space.
+#[expect(
+    clippy::panic,
+    reason = "documented panicking convenience over the fallible CSR build; generators are test/bench-sized"
+)]
 pub fn erdos_renyi_sharded(seed: u64, n: usize, p: f64, threads: usize) -> SocialGraph {
     assert!((0.0..=1.0).contains(&p), "p must be a probability");
     if n == 0 || p == 0.0 {
@@ -124,7 +128,6 @@ pub fn erdos_renyi_sharded(seed: u64, n: usize, p: f64, threads: usize) -> Socia
         }
         row
     });
-    // digg-lint: allow(no-lib-unwrap) — documented panicking convenience over the fallible CSR build; generators are test/bench-sized
     crate::par_build::from_sorted_rows(&rows, threads).unwrap_or_else(|e| panic!("{e}"))
 }
 
@@ -259,6 +262,10 @@ pub fn configuration_model<R: Rng + ?Sized>(
 /// Panics if lengths differ, any attractiveness is negative or
 /// non-finite, or the realised edge count exceeds the `u32` CSR
 /// offset space.
+#[expect(
+    clippy::panic,
+    reason = "documented panicking convenience over the fallible CSR build; generators are test/bench-sized"
+)]
 pub fn configuration_model_sharded(
     seed: u64,
     out_degrees: &[usize],
@@ -291,7 +298,6 @@ pub fn configuration_model_sharded(
         row.sort_unstable();
         row
     });
-    // digg-lint: allow(no-lib-unwrap) — documented panicking convenience over the fallible CSR build; generators are test/bench-sized
     crate::par_build::from_sorted_rows(&rows, threads).unwrap_or_else(|e| panic!("{e}"))
 }
 

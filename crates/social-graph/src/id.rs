@@ -30,8 +30,11 @@ impl UserId {
     /// Panics if `i` exceeds `u32::MAX` (a programmer error: the
     /// workspace never builds populations that large).
     #[inline]
+    #[expect(
+        clippy::expect_used,
+        reason = "the single checked index→id conversion point the cast rule routes callers to"
+    )]
     pub fn from_index(i: usize) -> UserId {
-        // digg-lint: allow(no-lib-unwrap) — the single checked index→id conversion point the cast rule routes callers to
         UserId(u32::try_from(i).expect("user index exceeds u32 range"))
     }
 }

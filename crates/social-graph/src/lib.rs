@@ -25,11 +25,10 @@
 //!   serial finaliser ([`GraphBuilder::build`]) and a sharded parallel
 //!   one ([`GraphBuilder::build_parallel`], bit-identical output; see
 //!   the `par_build` module and DESIGN.md §11).
-//! * [`visit`] — [`VisitBuffer`], an epoch-stamped user-set scratch
-//!   with O(1) clear for per-story sweeps.
-//! * [`bitset`] — [`FanBitset`], the word-packed dense counterpart of
-//!   `VisitBuffer` (1 bit/user instead of 32, `count_ones` popcount),
-//!   keeping sweep scratch cache-resident at millions of users.
+//! * [`bitset`] — [`FanBitset`], a word-packed user-set scratch with
+//!   O(1) insert/test and O(1) epoch-bump clear (1 bit/user,
+//!   `count_ones` popcount), keeping per-story sweep scratch
+//!   cache-resident at millions of users.
 //! * [`membership`] — the fan-membership kernel: binary-probe,
 //!   two-pointer, galloping and bitset strategies over sorted CSR rows
 //!   with measured crossover constants (DESIGN.md §16).
@@ -56,10 +55,17 @@
 //! * [`io`] — edge-list serialization.
 
 // `deny`, not `forbid`: the one memory-mapping module ([`mmap`])
-// carries a scoped `#[allow(unsafe_code)]`, and digg-lint's
-// no-unchecked-mmap rule enforces that no other module in the
-// workspace does.
+// carries a scoped `#![expect(unsafe_code)]`; the workspace
+// `unsafe_code = "deny"` lint keeps every other target safe Rust.
 #![deny(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_docs)]
 
 pub mod bitset;
@@ -77,7 +83,6 @@ pub mod sampling;
 pub mod temporal;
 pub mod traversal;
 pub mod view;
-pub mod visit;
 
 pub use bitset::FanBitset;
 pub use builder::{CsrCapacityError, GraphBuilder};
@@ -86,4 +91,3 @@ pub use id::UserId;
 pub use mmap::{GraphMap, GraphMapError};
 pub use probe::FanProbe;
 pub use view::FanView;
-pub use visit::VisitBuffer;

@@ -48,7 +48,8 @@
 //! ## Safety and validation
 //!
 //! This is the **single module in the workspace allowed to use
-//! `unsafe`** (digg-lint's `no-unchecked-mmap` rule enforces that);
+//! `unsafe`** (the workspace `unsafe_code = "deny"` lint enforces
+//! that; this module's `#![expect(unsafe_code)]` is its one exemption);
 //! the unsafe surface is exactly: the `mmap`/`munmap` FFI pair, one
 //! `from_raw_parts` giving the mapping a byte-slice identity, and the
 //! layout-compatible reinterpretations `&[u8] → &[u64]` / `&[u32] →
@@ -71,7 +72,10 @@
 //! A mapped file must not be mutated concurrently by another process;
 //! the writer's atomic tmp + rename ensures readers only ever see
 //! complete images.
-#![allow(unsafe_code)]
+#![expect(
+    unsafe_code,
+    reason = "the single audited mmap module: every unsafe block below carries its SAFETY argument"
+)]
 
 use std::fmt;
 use std::fs::File;
@@ -490,17 +494,13 @@ pub fn write_graph_map(graph: &SocialGraph, path: &Path) -> Result<(), GraphMapE
 }
 
 fn read_u32(bytes: &[u8], off: usize) -> Result<u32, GraphMapError> {
-    let end = off.checked_add(4).ok_or(GraphMapError::Truncated)?;
-    let b = bytes.get(off..end).ok_or(GraphMapError::Truncated)?;
-    // digg-lint: allow(no-lib-unwrap) — 4-byte slice to 4-byte array cannot fail
-    Ok(u32::from_le_bytes(b.try_into().unwrap()))
+    let b = bytes.get(off..).and_then(<[u8]>::first_chunk::<4>);
+    Ok(u32::from_le_bytes(*b.ok_or(GraphMapError::Truncated)?))
 }
 
 fn read_u64(bytes: &[u8], off: usize) -> Result<u64, GraphMapError> {
-    let end = off.checked_add(8).ok_or(GraphMapError::Truncated)?;
-    let b = bytes.get(off..end).ok_or(GraphMapError::Truncated)?;
-    // digg-lint: allow(no-lib-unwrap) — 8-byte slice to 8-byte array cannot fail
-    Ok(u64::from_le_bytes(b.try_into().unwrap()))
+    let b = bytes.get(off..).and_then(<[u8]>::first_chunk::<8>);
+    Ok(u64::from_le_bytes(*b.ok_or(GraphMapError::Truncated)?))
 }
 
 /// Parse the header and section table from the raw image.

@@ -35,7 +35,10 @@ pub fn bfs_distances(g: &SocialGraph, src: UserId, dir: Direction) -> Vec<Option
     dist[src.index()] = Some(0);
     q.push_back(src);
     while let Some(u) = q.pop_front() {
-        // digg-lint: allow(no-lib-unwrap) — BFS invariant: a node is enqueued only after its distance is set
+        #[expect(
+            clippy::expect_used,
+            reason = "BFS invariant: a node is enqueued only after its distance is set"
+        )]
         let du = dist[u.index()].expect("queued nodes have distances");
         for &v in neighbours(g, u, dir) {
             if dist[v.index()].is_none() {

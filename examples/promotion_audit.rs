@@ -39,6 +39,10 @@ fn main() {
         let graph = pop.graph.clone();
         let top100: std::collections::HashSet<_> = pop.ranking().into_iter().take(100).collect();
         let mut sim = Sim::new(cfg, pop);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "progress timing printed to the console, never an artifact"
+        )]
         let t0 = std::time::Instant::now();
         sim.run(days * DAY);
         let promoted: Vec<_> = sim.stories().iter().filter(|s| s.is_front_page()).collect();

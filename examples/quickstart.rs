@@ -39,6 +39,10 @@ fn main() {
         saturation_days: 3,
         max_minutes: 30 * DAY,
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "progress timing printed to the console, never an artifact"
+    )]
     let t0 = std::time::Instant::now();
     let synthesis = synthesize_small(&cfg);
     let ds = &synthesis.dataset;

@@ -1,4 +1,12 @@
 //! Umbrella crate re-exporting the Digg-reproduction workspace.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 pub use digg_core as core;
 pub use digg_data as data;
 pub use digg_epidemics as epidemics;
