@@ -1,5 +1,5 @@
-//! Bench-regression gate: fail CI when the incremental sweep gets
-//! slower.
+//! Bench-regression gate: fail CI when the incremental sweep or the
+//! simulator engine gets slower.
 //!
 //! ```text
 //! bench_gate [CANDIDATE [BASELINE]]
@@ -10,12 +10,17 @@
 //! committed `results/bench_baseline.json`.
 //!
 //! Raw votes/sec is machine-bound — a slower CI runner would fail
-//! every build — so the default comparison is the **dimensionless
-//! speed ratio** `incr_sweep_apply.per_sec /
-//! incr_sweep_batch_resweep.per_sec` from each file: both rows come
-//! from the same process on the same box, so the ratio cancels the
-//! machine and isolates the incremental path's relative speed. The
-//! gate fails (exit 1) when the candidate ratio drops more than
+//! every build — so the gate compares two **dimensionless speed
+//! ratios** from each file, each of two rows measured in the same
+//! process on the same box, so the machine cancels:
+//!
+//! * `incr_sweep_apply.per_sec / incr_sweep_batch_resweep.per_sec`
+//!   (the `incr_sweep` experiment): the incremental path's speed;
+//! * `sim_engine_run.per_sec / sim_tick_reference.per_sec` (the
+//!   `sim_sweep` experiment): the event engine against the tick loop
+//!   on the same paper-regime cells.
+//!
+//! The gate fails (exit 1) when either candidate ratio drops more than
 //! `DIGG_GATE_TOLERANCE` (default 0.15, i.e. >15%) below the
 //! baseline's. Set `DIGG_GATE_ABSOLUTE=1` to additionally compare raw
 //! `incr_sweep_apply` votes/sec with the same tolerance — for runs on
@@ -64,9 +69,9 @@ impl Rows {
             .ok_or_else(|| format!("no positive `{name}` scale row"))
     }
 
-    /// The machine-cancelling incremental-vs-batch speed ratio.
-    fn incr_ratio(&self) -> Result<f64, String> {
-        Ok(self.per_sec("incr_sweep_apply")? / self.per_sec("incr_sweep_batch_resweep")?)
+    /// `per_sec` of row `fast` over `per_sec` of row `reference`.
+    fn ratio(&self, fast: &str, reference: &str) -> Result<f64, String> {
+        Ok(self.per_sec(fast)? / self.per_sec(reference)?)
     }
 }
 
@@ -107,12 +112,26 @@ fn run() -> Result<bool, String> {
         baseline_path.display()
     );
 
-    let mut ok = check(
-        "incr_sweep apply/batch ratio",
-        candidate.incr_ratio()?,
-        baseline.incr_ratio()?,
-        tolerance,
-    );
+    let mut ok = true;
+    for (label, fast, reference) in [
+        (
+            "incr_sweep apply/batch ratio",
+            "incr_sweep_apply",
+            "incr_sweep_batch_resweep",
+        ),
+        (
+            "sim engine/tick-loop ratio",
+            "sim_engine_run",
+            "sim_tick_reference",
+        ),
+    ] {
+        ok &= check(
+            label,
+            candidate.ratio(fast, reference)?,
+            baseline.ratio(fast, reference)?,
+            tolerance,
+        );
+    }
     if std::env::var("DIGG_GATE_ABSOLUTE").ok().as_deref() == Some("1") {
         ok &= check(
             "incr_sweep_apply votes/sec",

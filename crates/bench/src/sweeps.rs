@@ -10,7 +10,9 @@
 //!   `sweep_worker`s when the binary is present, the bit-identical
 //!   in-process path otherwise), and times the engine against the tick
 //!   loop on a *sparse* long-horizon scenario (recorded as a baseline
-//!   row in `bench_summary.json`).
+//!   row in `bench_summary.json`) and on paper-regime cells (the
+//!   `sim_engine_run` / `sim_tick_reference` scale rows `bench_gate`
+//!   checks).
 //! * `epi_sweep` — checks the event-driven cascade kernel against the
 //!   full-scan model bit-for-bit, sweeps an SIR `(beta, gamma)` grid
 //!   and a cascade `phi` grid on the event kernels, and times the
@@ -27,13 +29,15 @@
 //! instead.
 
 use crate::baseline::BaselineRecord;
-use crate::registry::{record_baselines, Artifact};
+use crate::registry::{record_baselines, record_scale, Artifact, ScaleRecord};
 use crate::timing::time_ms;
 use digg_epidemics::{cascade_model, des};
 use digg_sim::baseline::TickSim;
 use digg_sim::population::{Population, PopulationConfig};
+use digg_sim::scenario::june2006_small;
 use digg_sim::supervisor::{run_sweep_supervised, SupervisorConfig};
 use digg_sim::sweep::{CellOutcome, ScenarioRun, ScenarioSpec};
+use digg_sim::time::DAY;
 use digg_sim::{Kernel, Sim, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -214,6 +218,61 @@ fn sparse_kernel_timing(seed: u64) -> (BaselineRecord, u64) {
     )
 }
 
+/// Simulated days per paper-regime timing cell.
+const CELL_DAYS: u64 = 3;
+
+/// Time the engine against the tick loop on the same paper-regime
+/// cells: [`CELL_DAYS`] simulated days of [`june2006_small`] on each
+/// of two seeds, the Friends-interface fan-out the engine's per-vote
+/// path is built for. The two loops follow one trajectory (asserted),
+/// so both rows count the engine's events, and the ratio of their
+/// rates is a machine-cancelling engine speedup: both run in one
+/// process on one host. Returns `[sim_engine_run, sim_tick_reference]`.
+fn paper_regime_timing(seed: u64) -> [ScaleRecord; 2] {
+    let (mut engine_ms, mut tick_ms) = (0.0, 0.0);
+    let (mut users, mut edges, mut events) = (0, 0, 0u64);
+    for cell in 0..2 {
+        let (cfg, pop) = june2006_small(seed.wrapping_add(cell));
+        users += pop.len();
+        edges += pop.graph.edge_count();
+        let tick_pop = pop.clone();
+        let (tick, ms) = time_ms(|| {
+            let mut sim = TickSim::new(cfg.clone(), tick_pop);
+            sim.run(CELL_DAYS * DAY);
+            sim.metrics().clone()
+        });
+        tick_ms += ms;
+        let ((engine, fired), ms) = time_ms(|| {
+            let mut sim = Sim::new(cfg, pop);
+            sim.run(CELL_DAYS * DAY);
+            (sim.metrics().clone(), sim.events_fired())
+        });
+        engine_ms += ms;
+        assert_eq!(
+            tick, engine,
+            "event engine diverged from the tick loop on a paper-regime cell"
+        );
+        events += fired;
+    }
+    let row = |name: &str, wall_ms: f64, speedup: Option<f64>| ScaleRecord {
+        name: name.into(),
+        users,
+        edges,
+        wall_ms,
+        per_sec: events as f64 / (wall_ms / 1e3).max(1e-9),
+        unit: "events",
+        speedup_vs_serial: speedup,
+    };
+    [
+        row(
+            "sim_engine_run",
+            engine_ms,
+            Some(tick_ms / engine_ms.max(1e-9)),
+        ),
+        row("sim_tick_reference", tick_ms, None),
+    ]
+}
+
 /// The `sim_sweep` standalone experiment. Shards the grid across
 /// `sweep_worker` subprocesses when the binary is available (the
 /// experiment binaries build it as a sibling), falling back to the
@@ -235,6 +294,7 @@ pub fn run_sim_sweep(seed: u64) -> (Vec<Artifact>, usize) {
     let (payload, sweep_ms) = time_ms(|| sim_sweep_payload_with(seed, &sup));
     let scenarios = payload.runs.len();
     let (sparse, sparse_minutes) = sparse_kernel_timing(seed);
+    let paper = paper_regime_timing(seed);
 
     let equivalence_ok = payload.equivalence.iter().all(|e| e.ok);
     let mut rendered = String::from("Scenario sweep (event kernel)\n");
@@ -277,8 +337,16 @@ pub fn run_sim_sweep(seed: u64) -> (Vec<Artifact>, usize) {
         "sparse scenario ({sparse_minutes} min): tick loop {:.1} ms, event engine {:.1} ms ({:.1}x)\n",
         sparse.seed_ms, sparse.new_ms, sparse.speedup
     ));
+    let [engine, tick] = &paper;
+    rendered.push_str(&format!(
+        "paper-regime cells (june2006_small, 2 x {CELL_DAYS} days): tick loop {:.1} ms, event engine {:.1} ms ({:.1}x)\n",
+        tick.wall_ms,
+        engine.wall_ms,
+        tick.wall_ms / engine.wall_ms.max(1e-9)
+    ));
     let ok = equivalence_ok && payload.panicked.is_empty();
     record_baselines(vec![sparse]);
+    record_scale(paper.into());
     (
         vec![Artifact::new("sim_sweep", rendered, &payload).with_ok(ok)],
         scenarios,

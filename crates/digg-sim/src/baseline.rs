@@ -226,7 +226,7 @@ impl TickSim {
             let user = UserId::from_index(self.browse_table.sample(&mut self.rng));
             let pages = sample_pages_viewed(&mut self.rng, self.cfg.page_stop_prob);
             for p in 0..pages.min(self.front.page_count()) {
-                for id in self.front.page(p) {
+                for id in self.front.page(p).collect::<Vec<_>>() {
                     let story = &self.stories[id.index()];
                     if story.has_voted(user) {
                         continue;
@@ -252,7 +252,7 @@ impl TickSim {
             let user = UserId::from_index(self.browse_table.sample(&mut self.rng));
             let pages = sample_pages_viewed(&mut self.rng, self.cfg.page_stop_prob);
             for p in 0..pages.min(self.queue.page_count()) {
-                for id in self.queue.page(p) {
+                for id in self.queue.page(p).collect::<Vec<_>>() {
                     let story = &self.stories[id.index()];
                     if story.has_voted(user) || !story.is_upcoming() {
                         continue;
@@ -347,13 +347,13 @@ impl TickSim {
                 // grant a second chance; the interface shows a story
                 // once.
                 self.exposures
-                    .schedule(fan, story, Minute(u64::MAX), self.now, from_submitter);
+                    .enqueue(fan, story, Minute(u64::MAX), self.now, from_submitter);
                 continue;
             }
             let delay = 1.0 + exponential(&mut self.rng, 1.0 / self.cfg.fan_exposure_delay_mean);
             let delay = (delay as u64).min(self.cfg.feed_lifetime);
             self.exposures
-                .schedule(fan, story, self.now + delay, self.now, from_submitter);
+                .enqueue(fan, story, self.now + delay, self.now, from_submitter);
             self.metrics.exposures_scheduled += 1;
         }
     }

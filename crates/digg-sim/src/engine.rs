@@ -25,10 +25,20 @@
 //! satisfies; at `feed_lifetime == 0` the tick loop delays same-minute
 //! exposures to the next drain while the engine fires them
 //! immediately).
+//!
+//! The per-vote path is built for speed without touching that draw
+//! order. Voter and exposure membership use the fast id hash of the
+//! `idhash` module, the exposure dedup set is kept per story, and
+//! every probability that depends only on the population, the config
+//! or the minute is computed once: the per-user exposure probabilities
+//! and per-story discovery samplers in `Derived`, and the front-page
+//! vote probabilities once per listed story per minute. Each is the
+//! tick loop's own expression, so every value is bit-equal.
 
 use crate::config::{PromoterKind, SimConfig};
 use crate::decay::{novelty, sample_pages_viewed};
 use crate::frontpage::FrontPage;
+use crate::idhash::IdBuildHasher;
 use crate::metrics::SimMetrics;
 use crate::population::Population;
 use crate::promotion::{self, Promoter, PromoterState};
@@ -39,7 +49,7 @@ use des_core::EventQueue;
 use digg_snapshot::{
     ByteReader, ByteWriter, Codec, Restore, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
 };
-use digg_stats::distributions::{coin, exponential, poisson, LogNormal};
+use digg_stats::distributions::{coin, exponential, poisson, LogNormal, Poisson};
 use digg_stats::sampling::AliasTable;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -114,27 +124,21 @@ pub struct Sim {
     queue: UpcomingQueue,
     front: FrontPage,
     events: EventQueue<Ev>,
-    /// `(fan, story)` pairs ever offered an exposure, to collapse
-    /// duplicate entries from multiple friends (the interface shows a
-    /// story once). Membership-only; the snapshot path sorts the pairs
-    /// before encoding.
+    /// The fans ever offered an exposure to each story, indexed like
+    /// `stories`, to collapse duplicate entries from multiple friends
+    /// (the interface shows a story once). Membership-only; the
+    /// snapshot path writes them as one sorted `(fan, story)` list.
     // digg-lint: allow(no-unordered-serialize) — snapshot encodes the pairs as a sorted Vec, never in set-iteration order
-    scheduled: HashSet<(UserId, StoryId)>,
-    // digg-lint: allow(snapshot-coverage) — trait object; restore re-installs the promoter from the caller's config
-    promoter: Box<dyn Promoter>,
+    scheduled: Vec<HashSet<UserId, IdBuildHasher>>,
     /// Per-story incremental promoter state, indexed like `stories`.
     /// Lets each promotion re-check fold only the votes it has not
     /// seen; the tick-loop baseline stays on the batch path, so the
     /// engine-vs-baseline equivalence tests hold the two against each
     /// other.
     promo_states: Vec<PromoterState>,
-    // digg-lint: allow(snapshot-coverage) — derived from the population's activity weights, rebuilt on restore
-    browse_table: AliasTable,
-    // digg-lint: allow(snapshot-coverage) — derived from the population's activity weights, rebuilt on restore
-    submit_table: AliasTable,
+    // digg-lint: allow(snapshot-coverage) — pure functions of the config, the population and the story qualities, rebuilt on restore
+    derived: Derived,
     metrics: SimMetrics,
-    // digg-lint: allow(snapshot-coverage) — distribution parameters, reconstructed from SimConfig on restore
-    niche_quality: LogNormal,
     /// The tick loop's single RNG.
     rng: StdRng,
     /// Index of the oldest story still inside the external-discovery
@@ -145,6 +149,77 @@ pub struct Sim {
     /// serialized — a restored sim starts its own count at zero.
     // digg-lint: allow(snapshot-coverage) — diagnostics counter, deliberately restarts at zero after restore
     events_fired: u64,
+}
+
+/// Everything a [`Sim`] rebuilds on restore instead of serializing:
+/// pure functions of the config, the population and the stories'
+/// qualities.
+struct Derived {
+    /// The promotion rule, from `cfg.promoter`.
+    promoter: Box<dyn Promoter>,
+    /// Browsing sessions and external voters, by activity.
+    browse_table: AliasTable,
+    /// Submitters, by submission propensity.
+    submit_table: AliasTable,
+    /// The niche-story quality distribution.
+    niche_quality: LogNormal,
+    /// Per user, the chance an entry in their Friends interface gets
+    /// an exposure: `[from a vote, from a submission]`, each
+    /// `min(1, fan_exposure_prob · visits · friends^-dilution)`.
+    exposure_prob: Vec<[f64; 2]>,
+    /// Per story, indexed like `stories`: the sampler for its external
+    /// votes per minute, Poisson with mean `external_rate · quality`.
+    discovery: Vec<Poisson>,
+}
+
+impl Derived {
+    fn build(cfg: &SimConfig, pop: &Population, stories: &[Story]) -> Result<Derived, String> {
+        let browse_table = AliasTable::new(&pop.browse_weight)
+            .ok_or("population browse weights yield no alias table")?;
+        let submit_table = AliasTable::new(&pop.submit_weight)
+            .ok_or("population submit weights yield no alias table")?;
+        let exposure_prob = (0..pop.len())
+            .map(|i| {
+                // Exposure = (fan visits the site during the window) x
+                // (fan notices this entry in their feed). The first
+                // factor grows with activity; the second is diluted by
+                // how many friends the fan watches — the Friends
+                // interface of a user watching hundreds of people
+                // scrolls any single story out of attention quickly.
+                // Together these keep social cascades subcritical
+                // (refs [12, 23]: most recommendation cascades
+                // terminate after a few steps). The submissions view
+                // is far less crowded than the diggs view, so its
+                // congestion dilution is gentler.
+                let f = pop.graph.friend_count(UserId::from_index(i)).max(1) as f64;
+                let visits = (pop.activity[i] / cfg.attention_ref).min(1.0);
+                let p = |dilution_exp: f64| {
+                    (cfg.fan_exposure_prob * visits * f.powf(-dilution_exp)).min(1.0)
+                };
+                [p(cfg.feed_dilution), p(cfg.submitted_dilution)]
+            })
+            .collect();
+        let mut discovery = Vec::with_capacity(stories.len());
+        for s in stories {
+            // A quality outside (0, 1] never comes from the engine; it
+            // would give a negative or NaN Poisson mean.
+            if !(s.quality > 0.0 && s.quality <= 1.0) {
+                return Err(format!(
+                    "story {} has quality {} outside (0, 1]",
+                    s.id, s.quality
+                ));
+            }
+            discovery.push(Poisson::new(cfg.external_rate * s.quality));
+        }
+        Ok(Derived {
+            promoter: promotion::from_kind(cfg.promoter),
+            browse_table,
+            submit_table,
+            niche_quality: LogNormal::new(cfg.niche_quality_mu, cfg.niche_quality_sigma),
+            exposure_prob,
+            discovery,
+        })
+    }
 }
 
 impl Sim {
@@ -171,30 +246,18 @@ impl Sim {
             clippy::expect_used,
             reason = "Population::validate (checked above via cfg) guarantees positive weights"
         )]
-        let browse_table =
-            AliasTable::new(&pop.browse_weight).expect("population browse weights are positive");
-        #[expect(
-            clippy::expect_used,
-            reason = "Population::validate (checked above via cfg) guarantees positive weights"
-        )]
-        let submit_table =
-            AliasTable::new(&pop.submit_weight).expect("submission weights are positive");
+        let derived = Derived::build(&cfg, &pop, &[]).expect("population weights are positive");
         let rng = StdRng::seed_from_u64(cfg.seed);
-        let promoter = promotion::from_kind(cfg.promoter);
-        let niche_quality = LogNormal::new(cfg.niche_quality_mu, cfg.niche_quality_sigma);
         let mut sim = Sim {
             queue: UpcomingQueue::new(cfg.page_size, cfg.queue_lifetime),
             front: FrontPage::new(cfg.page_size),
             events: EventQueue::new(),
-            scheduled: HashSet::new(),
+            scheduled: Vec::new(),
             stories: Vec::new(),
             promo_states: Vec::new(),
             now: Minute::ZERO,
             metrics: SimMetrics::default(),
-            browse_table,
-            submit_table,
-            promoter,
-            niche_quality,
+            derived,
             rng,
             external_lo: 0,
             events_fired: 0,
@@ -379,7 +442,11 @@ impl Sim {
         let id = StoryId::from_index(self.stories.len());
         let story = Story::new(id, submitter, self.now, quality);
         self.stories.push(story);
-        self.promo_states.push(self.promoter.new_state());
+        self.promo_states.push(self.derived.promoter.new_state());
+        self.scheduled.push(HashSet::default());
+        self.derived
+            .discovery
+            .push(Poisson::new(self.cfg.external_rate * quality));
         self.queue.push(id, self.now);
         self.metrics.submissions += 1;
         self.events.schedule(
@@ -395,10 +462,15 @@ impl Sim {
     fn compat_submissions(&mut self) {
         let n = poisson(&mut self.rng, self.cfg.submissions_per_minute);
         for _ in 0..n {
-            let submitter = UserId::from_index(self.submit_table.sample(&mut self.rng));
+            let submitter = UserId::from_index(self.derived.submit_table.sample(&mut self.rng));
             let quality = {
                 let activity = self.pop.activity[submitter.index()];
-                draw_quality(&mut self.rng, &self.cfg, &self.niche_quality, activity)
+                draw_quality(
+                    &mut self.rng,
+                    &self.cfg,
+                    &self.derived.niche_quality,
+                    activity,
+                )
             };
             self.admit_story(submitter, quality);
         }
@@ -442,37 +514,61 @@ impl Sim {
 
     fn compat_frontpage_browsing(&mut self) {
         let sessions = poisson(&mut self.rng, self.cfg.frontpage_sessions_per_minute);
+        // A listed story's vote probability is fixed within the minute
+        // (the front page cannot change during this phase: its votes
+        // land on promoted stories, which never re-promote). Evaluate
+        // it once per story, the first time a session scrolls to it;
+        // `None` marks an entry the tick loop skips.
+        let mut listed: Vec<(StoryId, Option<f64>)> = Vec::new();
         for _ in 0..sessions {
-            let user = UserId::from_index(self.browse_table.sample(&mut self.rng));
+            let user = UserId::from_index(self.derived.browse_table.sample(&mut self.rng));
             let pages = sample_pages_viewed(&mut self.rng, self.cfg.page_stop_prob);
-            for p in 0..pages.min(self.front.page_count()) {
-                for id in self.front.page(p) {
-                    let story = &self.stories[id.index()];
-                    if story.has_voted(user) {
-                        continue;
-                    }
-                    let age = match story.status {
-                        StoryStatus::FrontPage(t) => self.now.since(t),
-                        _ => continue,
-                    };
-                    let prob = self.cfg.frontpage_vote_prob
-                        * story.quality
-                        * novelty(age, self.cfg.novelty_tau);
-                    if coin(&mut self.rng, prob) {
-                        self.cast_vote(id, user, VoteChannel::FrontPage);
-                    }
+            let seen =
+                (pages.min(self.front.page_count()) * self.cfg.page_size).min(self.front.len());
+            for &(id, _) in &self.front.all()[listed.len().min(seen)..seen] {
+                listed.push((id, self.frontpage_vote_prob(id)));
+            }
+            for &(id, prob) in &listed[..seen] {
+                let Some(prob) = prob else {
+                    continue;
+                };
+                if self.stories[id.index()].has_voted(user) {
+                    continue;
+                }
+                if coin(&mut self.rng, prob) {
+                    self.cast_vote(id, user, VoteChannel::FrontPage);
                 }
             }
         }
     }
 
+    /// This minute's vote probability for a front-page story, or
+    /// `None` if the story is not on the front page.
+    fn frontpage_vote_prob(&self, id: StoryId) -> Option<f64> {
+        let story = &self.stories[id.index()];
+        match story.status {
+            StoryStatus::FrontPage(t) => Some(
+                self.cfg.frontpage_vote_prob
+                    * story.quality
+                    * novelty(self.now.since(t), self.cfg.novelty_tau),
+            ),
+            _ => None,
+        }
+    }
+
     fn compat_upcoming_browsing(&mut self) {
         let sessions = poisson(&mut self.rng, self.cfg.upcoming_sessions_per_minute);
+        // A vote can promote a listed story and so take it out of the
+        // queue mid-page; each page view votes from a copy of its
+        // listing, as the tick loop does. One buffer serves the minute.
+        let mut page: Vec<StoryId> = Vec::with_capacity(self.cfg.page_size);
         for _ in 0..sessions {
-            let user = UserId::from_index(self.browse_table.sample(&mut self.rng));
+            let user = UserId::from_index(self.derived.browse_table.sample(&mut self.rng));
             let pages = sample_pages_viewed(&mut self.rng, self.cfg.page_stop_prob);
             for p in 0..pages.min(self.queue.page_count()) {
-                for id in self.queue.page(p) {
+                page.clear();
+                page.extend(self.queue.page(p));
+                for &id in &page {
                     let story = &self.stories[id.index()];
                     if story.has_voted(user) || !story.is_upcoming() {
                         continue;
@@ -497,16 +593,11 @@ impl Sim {
             self.external_lo += 1;
         }
         for idx in self.external_lo..self.stories.len() {
-            let (quality, id) = {
-                let s = &self.stories[idx];
-                (s.quality, s.id)
-            };
-            let rate = self.cfg.external_rate * quality;
-            let n = poisson(&mut self.rng, rate);
+            let n = self.derived.discovery[idx].sample(&mut self.rng);
             for _ in 0..n {
-                let user = UserId::from_index(self.browse_table.sample(&mut self.rng));
+                let user = UserId::from_index(self.derived.browse_table.sample(&mut self.rng));
                 if !self.stories[idx].has_voted(user) {
-                    self.cast_vote(id, user, VoteChannel::External);
+                    self.cast_vote(self.stories[idx].id, user, VoteChannel::External);
                 }
             }
         }
@@ -532,62 +623,38 @@ impl Sim {
     }
 
     /// Expose `actor`'s fans to `story` ("see the stories my friends
-    /// dugg / submitted").
+    /// dugg / submitted"). Runs once per vote over the voter's whole
+    /// fan row, so it borrows the row in place and reads each fan's
+    /// exposure probability from `Derived::exposure_prob`.
+    // digg-lint: hot-path
     fn schedule_fan_exposures(&mut self, actor: UserId, story: StoryId, from_submitter: bool) {
-        // Collect the fan list first to appease the borrow checker;
-        // fan lists are small.
-        let fans: Vec<UserId> = self.pop.graph.fans(actor).to_vec();
-        for fan in fans {
-            if self.stories[story.index()].has_voted(fan) {
+        let voters = &self.stories[story.index()];
+        let offered = &mut self.scheduled[story.index()];
+        let view = usize::from(from_submitter);
+        let delay_rate = 1.0 / self.cfg.fan_exposure_delay_mean;
+        for &fan in self.pop.graph.fans(actor) {
+            // Offering consumes the pair whether or not the exposure
+            // happens, so another friend's vote doesn't grant a second
+            // chance; the interface shows a story once.
+            if voters.has_voted(fan) || !offered.insert(fan) {
                 continue;
             }
-            if self.scheduled.contains(&(fan, story)) {
+            if !coin(&mut self.rng, self.derived.exposure_prob[fan.index()][view]) {
                 continue;
             }
-            // Exposure = (fan visits the site during the window) x
-            // (fan notices this entry in their feed). The first factor
-            // grows with activity; the second is diluted by how many
-            // friends the fan watches — the Friends interface of a
-            // user watching hundreds of people scrolls any single
-            // story out of attention quickly. Together these keep
-            // social cascades subcritical (refs [12, 23]: most
-            // recommendation cascades terminate after a few steps).
-            let a = self.pop.activity[fan.index()];
-            let f = self.pop.graph.friend_count(fan).max(1) as f64;
-            let visits = (a / self.cfg.attention_ref).min(1.0);
-            // The submissions view is far less crowded than the diggs
-            // view, so its congestion dilution is gentler.
-            let dilution_exp = if from_submitter {
-                self.cfg.submitted_dilution
-            } else {
-                self.cfg.feed_dilution
-            };
-            let dilution = f.powf(-dilution_exp);
-            let p = (self.cfg.fan_exposure_prob * visits * dilution).min(1.0);
-            let delay_mean = 1.0 / self.cfg.fan_exposure_delay_mean;
-            let scheduled_delay = if coin(&mut self.rng, p) {
-                Some(1.0 + exponential(&mut self.rng, delay_mean))
-            } else {
-                None
-            };
-            // Consume the pair either way, so another friend's vote
-            // doesn't grant a second chance; the interface shows a
-            // story once.
-            self.scheduled.insert((fan, story));
-            if let Some(delay) = scheduled_delay {
-                let delay = (delay as u64).min(self.cfg.feed_lifetime);
-                self.events.schedule(
-                    (self.now + delay).0,
-                    CLASS_EXPOSE,
-                    Ev::Exposure {
-                        fan,
-                        story,
-                        triggered_at: self.now,
-                        from_submitter,
-                    },
-                );
-                self.metrics.exposures_scheduled += 1;
-            }
+            let delay = 1.0 + exponential(&mut self.rng, delay_rate);
+            let delay = (delay as u64).min(self.cfg.feed_lifetime);
+            self.events.schedule(
+                (self.now + delay).0,
+                CLASS_EXPOSE,
+                Ev::Exposure {
+                    fan,
+                    story,
+                    triggered_at: self.now,
+                    from_submitter,
+                },
+            );
+            self.metrics.exposures_scheduled += 1;
         }
     }
 
@@ -598,6 +665,7 @@ impl Sim {
         }
         let state = &mut self.promo_states[id.index()];
         if self
+            .derived
             .promoter
             .should_promote_with(state, story, &self.pop.graph, self.now)
         {
@@ -666,14 +734,17 @@ impl Codec for Ev {
 /// **Serialized** — everything whose value is path-dependent: stories
 /// (votes, statuses, qualities), per-story [`PromoterState`] partial
 /// sums, both listings, the pending event queue (as a nested
-/// [`EventQueue`] container, tombstones dropped), the exposure-dedup
-/// pair set (sorted), the tick-loop `StdRng` core, metrics, the clock,
-/// the external-discovery window start, and the full [`SimConfig`].
+/// [`EventQueue`] container, tombstones dropped), the per-story
+/// exposure-dedup sets (as one sorted `(fan, story)` pair list), the
+/// tick-loop `StdRng` core, metrics, the clock, the external-discovery
+/// window start, and the full [`SimConfig`].
 ///
 /// **Rebuilt on restore** — pure functions of serialized state or of
-/// the context population: alias tables (from population weights), the
-/// promoter object (from `cfg.promoter`), the niche-quality sampler
-/// (from cfg), and every story's `voter_pos` index (from its votes).
+/// the context population, all in `Derived`: alias tables and
+/// per-user exposure probabilities (from the population), the promoter
+/// object and niche-quality sampler (from cfg), the per-story discovery
+/// samplers (from story qualities); and every story's `voter_pos`
+/// index (from its votes).
 /// The population itself is the restore *context*: it is a pure
 /// function of `(PopulationConfig, seed)` and is only fingerprinted,
 /// not stored.
@@ -736,7 +807,12 @@ impl Snapshot for Sim {
 
         // HashSet iteration order is arbitrary: sort the pairs so the
         // bytes are a pure function of the logical state.
-        let mut pairs: Vec<(u32, u32)> = self.scheduled.iter().map(|&(u, s)| (u.0, s.0)).collect();
+        let mut pairs: Vec<(u32, u32)> =
+            Vec::with_capacity(self.scheduled.iter().map(HashSet::len).sum());
+        for (idx, fans) in self.scheduled.iter().enumerate() {
+            let story = StoryId::from_index(idx).0;
+            pairs.extend(fans.iter().map(|u| (u.0, story)));
+        }
         pairs.sort_unstable();
         let mut w = ByteWriter::new();
         w.put_usize(pairs.len());
@@ -834,11 +910,24 @@ impl Restore for Sim {
             front_entries.push((StoryId(r.get_u32()?), Minute(r.get_u64()?)));
         }
 
+        // The pair count is untrusted: it bounds the loop, never an
+        // allocation; the sets grow as pairs actually decode.
         let mut r = c.section_reader("scheduled")?;
         let ns = r.get_usize()?;
-        let mut scheduled = HashSet::with_capacity(ns.min(1 << 20));
+        let mut scheduled: Vec<HashSet<UserId, IdBuildHasher>> =
+            (0..stories.len()).map(|_| HashSet::default()).collect();
         for _ in 0..ns {
-            scheduled.insert((UserId(r.get_u32()?), StoryId(r.get_u32()?)));
+            let fan = UserId(r.get_u32()?);
+            let story = StoryId(r.get_u32()?);
+            scheduled
+                .get_mut(story.index())
+                .ok_or_else(|| {
+                    SnapshotError::Malformed(format!(
+                        "scheduled pair names story {story} of {}",
+                        stories.len()
+                    ))
+                })?
+                .insert(fan);
         }
 
         let events: EventQueue<Ev> = EventQueue::restore(c.section("events")?, ())?;
@@ -846,12 +935,7 @@ impl Restore for Sim {
         let mut r = c.section_reader("rng")?;
         let rng = StdRng::from_state([r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?]);
 
-        let browse_table = AliasTable::new(&pop.browse_weight).ok_or_else(|| {
-            SnapshotError::Malformed("population browse weights yield no alias table".into())
-        })?;
-        let submit_table = AliasTable::new(&pop.submit_weight).ok_or_else(|| {
-            SnapshotError::Malformed("population submit weights yield no alias table".into())
-        })?;
+        let derived = Derived::build(&cfg, &pop, &stories).map_err(SnapshotError::Malformed)?;
 
         Ok(Sim {
             queue: UpcomingQueue::from_snapshot(cfg.page_size, cfg.queue_lifetime, queue_entries),
@@ -862,10 +946,7 @@ impl Restore for Sim {
             promo_states,
             now,
             metrics,
-            browse_table,
-            submit_table,
-            promoter: promotion::from_kind(cfg.promoter),
-            niche_quality: LogNormal::new(cfg.niche_quality_mu, cfg.niche_quality_sigma),
+            derived,
             rng,
             external_lo,
             events_fired: 0,
@@ -1135,18 +1216,93 @@ mod tests {
         }
     }
 
-    /// Rebuild `bytes` with the "state" section replaced by `state`
-    /// and any `extra` sections appended.
-    fn with_state(bytes: &[u8], state: Vec<u8>, extra: &[(&str, Vec<u8>)]) -> Vec<u8> {
+    #[test]
+    fn restore_rejects_a_scheduled_pair_beyond_the_stories() {
+        let mut sim = toy_sim(34);
+        sim.run(120);
+        let bytes = sim.snapshot();
+        let stories = sim.stories().len();
+        let story = u32::try_from(stories).expect("story count fits u32");
+        // One pair naming story index == stories.len(), behind a pair
+        // count far beyond the section: neither may panic or allocate.
+        for count in [1usize, usize::MAX] {
+            let mut w = ByteWriter::new();
+            w.put_usize(count);
+            w.put_u32(0);
+            w.put_u32(story);
+            let patched = with_section(&bytes, "scheduled", w.into_bytes(), &[]);
+            match Sim::restore(&patched, toy_pop(34, sim.config().users)) {
+                Err(SnapshotError::Malformed(msg)) => {
+                    assert!(msg.contains(&format!("story s{story}")), "{msg}")
+                }
+                Err(other) => panic!("expected Malformed, got {other}"),
+                Ok(_) => panic!("restore accepted a pair naming story {story} of {stories}"),
+            }
+        }
+    }
+
+    #[test]
+    fn restore_rejects_a_story_quality_outside_the_unit_interval() {
+        // A negative quality would give the story's discovery sampler a
+        // negative Poisson mean, which panics; restore must refuse it.
+        let mut sim = toy_sim(35);
+        sim.run(120);
+        let bytes = sim.snapshot();
+        let mut w = ByteWriter::new();
+        w.put_usize(sim.stories().len());
+        for (k, story) in sim.stories().iter().enumerate() {
+            let mut story = story.clone();
+            if k == 0 {
+                story.quality = -1.0;
+            }
+            story.encode(&mut w);
+        }
+        let patched = with_section(&bytes, "stories", w.into_bytes(), &[]);
+        match Sim::restore(&patched, toy_pop(35, sim.config().users)) {
+            Err(SnapshotError::Malformed(msg)) => assert!(msg.contains("quality -1"), "{msg}"),
+            Err(other) => panic!("expected Malformed, got {other}"),
+            Ok(_) => panic!("restore accepted a story of quality -1"),
+        }
+    }
+
+    #[test]
+    fn paper_regime_snapshot_resumes_to_the_same_bytes() {
+        // The per-story exposure sets and the derived tables must
+        // rebuild exactly at the paper's fan-out, not only on toys.
+        let fresh = || {
+            let (cfg, pop) = crate::scenario::june2006_small(2006);
+            Sim::new(cfg, pop)
+        };
+        let mut straight = fresh();
+        let mut paused = fresh();
+        paused.run(crate::time::DAY / 2);
+        let bytes = paused.snapshot();
+        let (_, pop) = crate::scenario::june2006_small(2006);
+        let mut resumed = Sim::restore(&bytes, pop).expect("restore");
+        assert_eq!(resumed.snapshot(), bytes);
+        straight.run(crate::time::DAY);
+        resumed.run(crate::time::DAY / 2);
+        assert!(straight.metrics().votes_friends > 0, "no social votes");
+        assert_same_trajectory(&straight, &resumed);
+    }
+
+    /// Rebuild `bytes` with section `name` replaced by `payload` and
+    /// any `extra` sections appended.
+    fn with_section(
+        bytes: &[u8],
+        name: &str,
+        payload: Vec<u8>,
+        extra: &[(&str, Vec<u8>)],
+    ) -> Vec<u8> {
         let c = SnapshotReader::parse(bytes).expect("parse");
         let mut w = SnapshotWriter::new();
-        for name in c.section_names() {
-            let payload = if name == "state" {
-                state.clone()
+        for section in c.section_names() {
+            let body = if section == name {
+                payload.clone()
             } else {
-                c.section(name).expect("section").to_vec()
+                c.section(section).expect("section").to_vec()
             };
-            w.section(name, payload);
+            w.section(section, body);
         }
         for (name, payload) in extra {
             w.section(name, payload.clone());
@@ -1169,7 +1325,7 @@ mod tests {
             .expect("state")
             .to_vec();
         state.extend_from_slice(&[0u8; 40]);
-        let legacy = with_state(&bytes, state, &[("streams", vec![0u8; 64])]);
+        let legacy = with_section(&bytes, "state", state, &[("streams", vec![0u8; 64])]);
         let mut resumed =
             Sim::restore(&legacy, toy_pop(22, paused.config().users)).expect("restore");
         assert_eq!(resumed.snapshot(), bytes);
@@ -1190,7 +1346,7 @@ mod tests {
             .to_vec();
         state[0] = 1;
         match Sim::restore(
-            &with_state(&bytes, state, &[]),
+            &with_section(&bytes, "state", state, &[]),
             toy_pop(23, sim.config().users),
         ) {
             Err(SnapshotError::Malformed(msg)) => assert!(msg.contains("kernel tag 1"), "{msg}"),

@@ -74,7 +74,7 @@ impl ExposureQueue {
 
     /// Schedule an exposure unless this fan already has (or had) an
     /// entry for this story. Returns whether it was scheduled.
-    pub fn schedule(
+    pub fn enqueue(
         &mut self,
         fan: UserId,
         story: StoryId,
@@ -131,9 +131,9 @@ mod tests {
     #[test]
     fn drains_in_time_order() {
         let mut q = ExposureQueue::new();
-        q.schedule(UserId(1), StoryId(0), Minute(10), Minute(5), false);
-        q.schedule(UserId(2), StoryId(0), Minute(3), Minute(1), false);
-        q.schedule(UserId(3), StoryId(1), Minute(7), Minute(2), false);
+        q.enqueue(UserId(1), StoryId(0), Minute(10), Minute(5), false);
+        q.enqueue(UserId(2), StoryId(0), Minute(3), Minute(1), false);
+        q.enqueue(UserId(3), StoryId(1), Minute(7), Minute(2), false);
         assert_eq!(q.len(), 3);
         let due = q.drain_due(Minute(7));
         let fans: Vec<UserId> = due.iter().map(|e| e.fan).collect();
@@ -147,9 +147,9 @@ mod tests {
     #[test]
     fn duplicate_fan_story_pairs_collapse() {
         let mut q = ExposureQueue::new();
-        assert!(q.schedule(UserId(1), StoryId(0), Minute(10), Minute(5), false));
-        assert!(!q.schedule(UserId(1), StoryId(0), Minute(20), Minute(6), false));
-        assert!(q.schedule(UserId(1), StoryId(1), Minute(20), Minute(6), false));
+        assert!(q.enqueue(UserId(1), StoryId(0), Minute(10), Minute(5), false));
+        assert!(!q.enqueue(UserId(1), StoryId(0), Minute(20), Minute(6), false));
+        assert!(q.enqueue(UserId(1), StoryId(1), Minute(20), Minute(6), false));
         assert_eq!(q.len(), 2);
         assert!(q.was_scheduled(UserId(1), StoryId(0)));
         assert!(!q.was_scheduled(UserId(2), StoryId(0)));
@@ -158,8 +158,8 @@ mod tests {
     #[test]
     fn ties_drain_in_insertion_order() {
         let mut q = ExposureQueue::new();
-        q.schedule(UserId(5), StoryId(0), Minute(4), Minute(0), false);
-        q.schedule(UserId(6), StoryId(1), Minute(4), Minute(0), false);
+        q.enqueue(UserId(5), StoryId(0), Minute(4), Minute(0), false);
+        q.enqueue(UserId(6), StoryId(1), Minute(4), Minute(0), false);
         let due = q.drain_due(Minute(4));
         assert_eq!(due[0].fan, UserId(5));
         assert_eq!(due[1].fan, UserId(6));
@@ -168,7 +168,7 @@ mod tests {
     #[test]
     fn nothing_due_before_time() {
         let mut q = ExposureQueue::new();
-        q.schedule(UserId(1), StoryId(0), Minute(10), Minute(5), false);
+        q.enqueue(UserId(1), StoryId(0), Minute(10), Minute(5), false);
         assert!(q.drain_due(Minute(9)).is_empty());
         assert_eq!(q.len(), 1);
     }

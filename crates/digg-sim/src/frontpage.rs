@@ -50,14 +50,12 @@ impl FrontPage {
         self.entries.is_empty()
     }
 
-    /// Stories on page `p` (0-based), newest first.
-    pub fn page(&self, p: usize) -> Vec<StoryId> {
-        self.entries
-            .iter()
-            .skip(p * self.page_size)
-            .take(self.page_size)
-            .map(|&(id, _)| id)
-            .collect()
+    /// Stories on page `p` (0-based), newest first, borrowed from the
+    /// listing (empty past the last page).
+    pub fn page(&self, p: usize) -> impl Iterator<Item = StoryId> + '_ {
+        let start = p.saturating_mul(self.page_size).min(self.entries.len());
+        let end = start.saturating_add(self.page_size).min(self.entries.len());
+        self.entries[start..end].iter().map(|&(id, _)| id)
     }
 
     /// Number of (possibly partial) pages.
@@ -96,8 +94,9 @@ mod tests {
         fp.promote(StoryId(4), Minute(10));
         fp.promote(StoryId(9), Minute(20));
         fp.promote(StoryId(2), Minute(30));
-        assert_eq!(fp.page(0), vec![StoryId(2), StoryId(9)]);
-        assert_eq!(fp.page(1), vec![StoryId(4)]);
+        assert_eq!(fp.page(0).collect::<Vec<_>>(), vec![StoryId(2), StoryId(9)]);
+        assert_eq!(fp.page(1).collect::<Vec<_>>(), vec![StoryId(4)]);
+        assert_eq!(fp.page(2).count(), 0);
         assert_eq!(fp.page_count(), 2);
         assert_eq!(fp.len(), 3);
         assert!(!fp.is_empty());
@@ -116,7 +115,7 @@ mod tests {
     #[test]
     fn empty_page_is_empty() {
         let fp = FrontPage::new(15);
-        assert!(fp.page(0).is_empty());
+        assert_eq!(fp.page(0).count(), 0);
         assert_eq!(fp.page_count(), 0);
     }
 }

@@ -74,6 +74,7 @@ pub mod decay;
 pub mod engine;
 pub mod feeds;
 pub mod frontpage;
+mod idhash;
 pub mod metrics;
 pub mod population;
 pub mod promotion;

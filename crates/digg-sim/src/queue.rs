@@ -79,14 +79,12 @@ impl UpcomingQueue {
         out
     }
 
-    /// Stories on page `p` (0-based), newest first.
-    pub fn page(&self, p: usize) -> Vec<StoryId> {
-        self.entries
-            .iter()
-            .skip(p * self.page_size)
-            .take(self.page_size)
-            .map(|&(id, _)| id)
-            .collect()
+    /// Stories on page `p` (0-based), newest first, borrowed from the
+    /// listing (empty past the last page).
+    pub fn page(&self, p: usize) -> impl Iterator<Item = StoryId> + '_ {
+        let start = p.saturating_mul(self.page_size).min(self.entries.len());
+        let end = start.saturating_add(self.page_size).min(self.entries.len());
+        self.entries.range(start..end).map(|&(id, _)| id)
     }
 
     /// Number of (possibly partial) pages.
@@ -134,9 +132,9 @@ mod tests {
         q.push(StoryId(0), Minute(1));
         q.push(StoryId(1), Minute(2));
         q.push(StoryId(2), Minute(3));
-        assert_eq!(q.page(0), vec![StoryId(2), StoryId(1)]);
-        assert_eq!(q.page(1), vec![StoryId(0)]);
-        assert_eq!(q.page(2), Vec::<StoryId>::new());
+        assert_eq!(q.page(0).collect::<Vec<_>>(), vec![StoryId(2), StoryId(1)]);
+        assert_eq!(q.page(1).collect::<Vec<_>>(), vec![StoryId(0)]);
+        assert_eq!(q.page(2).count(), 0);
         assert_eq!(q.page_count(), 2);
         assert_eq!(q.len(), 3);
     }

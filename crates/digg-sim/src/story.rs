@@ -1,5 +1,6 @@
 //! Stories, votes and story lifecycle.
 
+use crate::idhash::IdBuildHasher;
 use crate::time::Minute;
 use digg_snapshot::{ByteReader, ByteWriter, Codec, SnapshotError};
 use serde::{DeError, Deserialize, Serialize, Value};
@@ -244,15 +245,16 @@ pub struct Story {
     /// Voter -> position of their vote in `votes`. Lookup-only (never
     /// iterated), so the unordered map cannot leak nondeterminism;
     /// serde skips it like the voter set it replaced, keeping the
-    /// serialized bytes unchanged.
+    /// serialized bytes unchanged. Keyed under the fast id hash: this
+    /// lookup runs for every candidate voter the simulator considers.
     #[serde(skip)]
-    voter_pos: HashMap<UserId, usize>,
+    voter_pos: HashMap<UserId, usize, IdBuildHasher>,
 }
 
 impl Story {
     /// Create a story; records the submitter's own implicit first vote.
     pub fn new(id: StoryId, submitter: UserId, at: Minute, quality: f64) -> Story {
-        let mut voter_pos = HashMap::new();
+        let mut voter_pos = HashMap::default();
         voter_pos.insert(submitter, 0);
         Story {
             id,
@@ -382,7 +384,7 @@ impl Deserialize for Story {
             quality: serde::from_field(entries, "quality", "Story")?,
             votes: serde::from_field(entries, "votes", "Story")?,
             status: serde::from_field(entries, "status", "Story")?,
-            voter_pos: HashMap::new(),
+            voter_pos: HashMap::default(),
         };
         story.rebuild_index();
         Ok(story)
@@ -464,7 +466,7 @@ impl Codec for Story {
             quality,
             votes,
             status,
-            voter_pos: HashMap::new(),
+            voter_pos: HashMap::default(),
         };
         story.rebuild_index();
         Ok(story)

@@ -9,6 +9,8 @@
 use digg_sim::baseline::TickSim;
 use digg_sim::config::PromoterKind;
 use digg_sim::population::{Population, PopulationConfig};
+use digg_sim::scenario::june2006_small;
+use digg_sim::time::DAY;
 use digg_sim::{Sim, SimConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -91,6 +93,50 @@ fn compat_kernel_matches_across_incremental_runs() {
         event.run(span);
         assert_equivalent(&tick, &event);
     }
+}
+
+#[test]
+fn compat_kernel_matches_on_the_special_cased_paths() {
+    // External discovery off: Poisson(0) must consume no draw.
+    let mut no_external = SimConfig::toy(31);
+    no_external.external_rate = 0.0;
+    // Stories of quality above 0.3 get Poisson means above 30: the
+    // normal-approximation branch. Lower ones stay on Knuth's loop.
+    let mut flood = SimConfig::toy(32);
+    flood.external_rate = 100.0;
+    // One dilution for both Friends-interface views, so the two
+    // columns of the per-user exposure table coincide.
+    let mut one_dilution = SimConfig::toy(33);
+    one_dilution.submitted_dilution = one_dilution.feed_dilution;
+
+    for (cfg, minutes) in [(no_external, 1200), (flood, 240), (one_dilution, 1200)] {
+        let rate = cfg.external_rate;
+        let (tick, event) = run_both(cfg, minutes);
+        assert!(tick.metrics().submissions > 0, "dead scenario");
+        if rate == 0.0 {
+            assert_eq!(tick.metrics().votes_external, 0, "discovery ran at rate 0");
+        }
+        if rate > 1.0 {
+            assert!(
+                tick.stories().iter().any(|s| rate * s.quality > 30.0),
+                "no story reached the normal-approximation branch"
+            );
+        }
+        assert_equivalent(&tick, &event);
+    }
+}
+
+#[test]
+fn compat_kernel_matches_a_day_of_the_paper_regime() {
+    // The calibrated scenario's fan-out (hub voters with large fan
+    // rows), at the reduced scale, for one simulated day.
+    let (cfg, pop) = june2006_small(2006);
+    let mut tick = TickSim::new(cfg.clone(), pop.clone());
+    let mut event = Sim::new(cfg, pop);
+    tick.run(DAY);
+    event.run(DAY);
+    assert!(tick.metrics().votes_friends > 0, "no social votes");
+    assert_equivalent(&tick, &event);
 }
 
 #[test]

@@ -248,26 +248,63 @@ pub fn coin<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
 
 /// Poisson variate via Knuth's product-of-uniforms method; adequate for
 /// the small means used by the simulator (per-minute arrival counts).
+/// Shorthand for `Poisson::new(mean).sample(rng)`.
 pub fn poisson<R: Rng + ?Sized>(rng: &mut R, mean: f64) -> u64 {
-    assert!(mean >= 0.0, "Poisson mean must be non-negative");
-    if mean == 0.0 {
-        return 0;
-    }
-    // For large means fall back to a normal approximation to avoid
-    // underflow of exp(-mean).
-    if mean > 30.0 {
-        let x = mean + mean.sqrt() * standard_normal(rng);
-        return x.max(0.0).round() as u64;
-    }
-    let l = (-mean).exp();
-    let mut k = 0u64;
-    let mut p = 1.0;
-    loop {
-        p *= rng.random::<f64>();
-        if p <= l {
-            return k;
+    Poisson::new(mean).sample(rng)
+}
+
+/// A Poisson sampler with its mean fixed, for callers that draw from
+/// the same mean many times: `exp(-mean)` is paid once, in
+/// [`Poisson::new`]. It consumes exactly the uniforms [`poisson`] does.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Poisson {
+    /// Mean 0: always 0, and draws nothing.
+    Zero,
+    /// Knuth's loop against the precomputed `exp(-mean)`.
+    Knuth(f64),
+    /// Means above 30: a normal approximation, which avoids the
+    /// underflow of `exp(-mean)`.
+    Normal(f64),
+}
+
+impl Poisson {
+    /// The sampler for `mean`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mean` is negative or NaN.
+    pub fn new(mean: f64) -> Poisson {
+        assert!(mean >= 0.0, "Poisson mean must be non-negative");
+        if mean == 0.0 {
+            Poisson::Zero
+        } else if mean > 30.0 {
+            Poisson::Normal(mean)
+        } else {
+            Poisson::Knuth((-mean).exp())
         }
-        k += 1;
+    }
+
+    /// Draw a variate.
+    #[inline]
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> u64 {
+        match *self {
+            Poisson::Zero => 0,
+            Poisson::Normal(mean) => {
+                let x = mean + mean.sqrt() * standard_normal(rng);
+                x.max(0.0).round() as u64
+            }
+            Poisson::Knuth(l) => {
+                let mut k = 0u64;
+                let mut p = 1.0;
+                loop {
+                    p *= rng.random::<f64>();
+                    if p <= l {
+                        return k;
+                    }
+                    k += 1;
+                }
+            }
+        }
     }
 }
 
@@ -433,6 +470,17 @@ mod tests {
         let n = 100_000;
         let m: f64 = (0..n).map(|_| poisson(&mut r, 1.5) as f64).sum::<f64>() / n as f64;
         assert!((m - 1.5).abs() < 0.03, "mean {m}");
+    }
+
+    #[test]
+    fn poisson_sampler_picks_the_branch_by_mean() {
+        assert_eq!(Poisson::new(0.0), Poisson::Zero);
+        assert_eq!(Poisson::new(30.0), Poisson::Knuth((-30.0f64).exp()));
+        assert_eq!(Poisson::new(30.5), Poisson::Normal(30.5));
+        // Mean 0 consumes no uniform: the stream is untouched.
+        let (mut a, mut b) = (rng(), rng());
+        assert_eq!(Poisson::new(0.0).sample(&mut a), 0);
+        assert_eq!(a.random::<u64>(), b.random::<u64>());
     }
 
     #[test]
