@@ -3,10 +3,11 @@
 //! Three small, orthogonal pieces:
 //!
 //! - [`queue`] — an [`EventQueue`] keyed by `(time, class, seq)`: a
-//!   binary heap with stable FIFO tie-breaking among equal timestamps
-//!   (`class` encodes a fixed intra-timestamp phase order, `seq` is a
-//!   monotone insertion counter) plus O(1) cancel/reschedule through
-//!   tombstoned ids.
+//!   calendar queue (a ring of per-time buckets, with a binary heap
+//!   for times outside it) with stable FIFO tie-breaking among equal
+//!   timestamps (`class` encodes a fixed intra-timestamp phase order,
+//!   `seq` is a monotone insertion counter) plus O(1)
+//!   cancel/reschedule through tombstoned ids.
 //! - [`rng`] — [`StreamRng`], a counter-based splitmix64 generator.
 //!   Each logical entity (a story, an edge, a browsing session) derives
 //!   its own stream from `(seed, salts…)`, so the draws it consumes are

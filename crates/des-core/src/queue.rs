@@ -1,7 +1,7 @@
-//! The event queue: a binary heap with deterministic total order and
+//! The event queue: a calendar queue with deterministic total order and
 //! tombstoned cancellation.
 //!
-//! Heap entries are keyed by `(time, class, seq)`:
+//! Entries are keyed by `(time, class, seq)`:
 //!
 //! - `time` — when the event fires (any monotone `u64` clock);
 //! - `class` — a small caller-chosen tag ordering events that share a
@@ -10,12 +10,35 @@
 //!   exposures before browsing before external discovery);
 //! - `seq` — a queue-global insertion counter, so events with equal
 //!   `(time, class)` pop in FIFO order and the order is a pure function
-//!   of the schedule-call sequence, never of heap internals.
+//!   of the schedule-call sequence, never of queue internals.
 //!
-//! Cancel and reschedule are O(log n) amortised without heap surgery:
-//! a **slab** of slots holds the authoritative `(generation, seq)` per
-//! [`EventId`], and a popped heap entry whose slot no longer matches
-//! is a tombstone, skipped silently.
+//! ## The calendar ring
+//!
+//! A simulation schedules almost everything a bounded distance ahead of
+//! the clock (the next minute's heartbeats, an exposure a few hours
+//! out, an expiry a day out), so the queue keeps a fixed ring of
+//! [`RING_WIDTH`] per-time buckets. The bucket under the cursor holds
+//! the entries due at `base`, the next one those due at `base + 1`,
+//! and so on; each bucket is sorted by `(class, seq)`. Scheduling
+//! indexes the bucket directly and inserts in sorted place — a new
+//! entry carries the largest `seq` so far, so it lands behind its own
+//! class, at or near the back. Popping takes the cursor bucket's
+//! front, and the cursor advances past a drained bucket, dropping its
+//! buffer so the queue's memory follows the pending events rather than
+//! the ring width. Both are O(1) amortised; a pop costs no sift.
+//!
+//! Times outside `[base, base + RING_WIDTH)` — far in the future, or
+//! earlier than the bucket being drained — go to an overflow binary
+//! heap keyed by the full `(time, class, seq)`. A pop compares the
+//! ring's head with the heap's, so the order is exactly that of one
+//! heap over every entry, whichever side an entry sits on. When the
+//! ring is empty, popping from the overflow re-anchors the ring at the
+//! popped time, so a clock that jumps ahead returns to the ring.
+//!
+//! Cancel and reschedule are O(1) without touching the ring or the
+//! heap: a **slab** of slots holds the authoritative `(generation,
+//! seq)` per [`EventId`], and an entry whose slot no longer matches is
+//! a tombstone, skipped silently when it reaches the front.
 //!
 //! ## The slab
 //!
@@ -35,7 +58,15 @@ use digg_snapshot::{
     ByteWriter, Codec, Restore, Snapshot, SnapshotError, SnapshotReader, SnapshotWriter,
 };
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
+
+/// Number of consecutive times the calendar ring covers, counted from
+/// the bucket being drained. Events due within this window of it are
+/// scheduled and popped in O(1); the rest wait in the overflow heap.
+pub const RING_WIDTH: u64 = 4096;
+
+/// [`RING_WIDTH`] as a bucket count.
+const RING: usize = RING_WIDTH as usize;
 
 /// Stable handle to a scheduled event, usable to cancel or reschedule
 /// it until it fires. Ids are never reused within one queue: the high
@@ -80,11 +111,30 @@ enum SlotState<T> {
     Occupied { seq: u64, payload: T },
 }
 
+/// A ring entry; its time is its bucket's.
+#[derive(Clone, Copy)]
+struct Entry {
+    class: u8,
+    seq: u64,
+    id: EventId,
+}
+
 /// Deterministic priority queue of events carrying payloads of type
-/// `T`. See the module docs for the ordering contract and the slab
-/// layout.
+/// `T`. See the module docs for the ordering contract, the calendar
+/// ring and the slab layout.
 pub struct EventQueue<T> {
-    heap: BinaryHeap<Reverse<(u64, u8, u64, EventId)>>,
+    /// The calendar ring: `ring[(cursor + d) % RING]` holds the entries
+    /// due at `base + d`, sorted by `(class, seq)`. Allocated by the
+    /// first schedule that lands in it.
+    ring: Vec<VecDeque<Entry>>,
+    /// Index of the bucket due at `base`.
+    cursor: usize,
+    /// Time of the cursor bucket: the earliest time the ring holds.
+    base: u64,
+    /// Entries in the ring, tombstones included.
+    ring_len: usize,
+    /// Entries due outside `[base, base + RING_WIDTH)`.
+    overflow: BinaryHeap<Reverse<(u64, u8, u64, EventId)>>,
     /// Slab of event slots; `EventId::slot` indexes it directly.
     slots: Vec<Slot<T>>,
     /// Freed slot indices, reused LIFO (the hottest slot stays
@@ -103,10 +153,23 @@ impl<T> Default for EventQueue<T> {
     }
 }
 
+/// Does a ring or overflow entry still name its slot's live event?
+/// Cancelled, fired and rescheduled-away entries do not.
+fn is_live<T>(slots: &[Slot<T>], seq: u64, id: EventId) -> bool {
+    slots
+        .get(id.slot())
+        .filter(|e| e.generation == id.generation())
+        .is_some_and(|e| matches!(e.state, SlotState::Occupied { seq: s, .. } if s == seq))
+}
+
 impl<T> EventQueue<T> {
     pub fn new() -> EventQueue<T> {
         EventQueue {
-            heap: BinaryHeap::new(),
+            ring: Vec::new(),
+            cursor: 0,
+            base: 0,
+            ring_len: 0,
+            overflow: BinaryHeap::new(),
             slots: Vec::new(),
             free: Vec::new(),
             live_len: 0,
@@ -147,8 +210,31 @@ impl<T> EventQueue<T> {
         entry.state = SlotState::Occupied { seq, payload };
         self.live_len += 1;
         let id = EventId::pack(slot, entry.generation);
-        self.heap.push(Reverse((time, class, seq, id)));
+        self.enqueue(time, Entry { class, seq, id });
         id
+    }
+
+    /// File an entry in its ring bucket, in `(class, seq)` order, or in
+    /// the overflow heap when its time is outside the ring.
+    fn enqueue(&mut self, time: u64, e: Entry) {
+        match time.checked_sub(self.base) {
+            Some(d) if d < RING_WIDTH => {
+                if self.ring.is_empty() {
+                    self.ring.resize_with(RING, VecDeque::new);
+                }
+                let bucket = &mut self.ring[(self.cursor + d as usize) % RING];
+                let key = (e.class, e.seq);
+                match bucket.back() {
+                    Some(last) if (last.class, last.seq) > key => {
+                        let at = bucket.partition_point(|x| (x.class, x.seq) < key);
+                        bucket.insert(at, e);
+                    }
+                    _ => bucket.push_back(e),
+                }
+                self.ring_len += 1;
+            }
+            _ => self.overflow.push(Reverse((time, e.class, e.seq, e.id))),
+        }
     }
 
     /// Free a slot after its event fired or was cancelled: bump the
@@ -179,8 +265,8 @@ impl<T> EventQueue<T> {
     }
 
     /// Cancel a pending event, returning its payload; `None` if it
-    /// already fired or was cancelled. The heap entry is left behind as
-    /// a tombstone and skipped on pop.
+    /// already fired or was cancelled. The queued entry is left behind
+    /// as a tombstone and skipped on pop.
     pub fn cancel(&mut self, id: EventId) -> Option<T> {
         let slot = self.resolve(id)?;
         let state = std::mem::replace(&mut self.slots[slot].state, SlotState::Free);
@@ -206,33 +292,62 @@ impl<T> EventQueue<T> {
             // resolve only returns occupied slots.
             return false;
         };
-        // The old heap entry keeps the stale seq and becomes a
-        // tombstone; the id itself stays valid (same generation).
+        // The old entry keeps the stale seq and becomes a tombstone;
+        // the id itself stays valid (same generation).
         *s = seq;
-        self.heap.push(Reverse((time, class, seq, id)));
+        self.enqueue(time, Entry { class, seq, id });
         true
     }
 
     /// Fire time of the next live event, without popping it.
     pub fn peek_time(&mut self) -> Option<u64> {
-        self.skim_tombstones();
-        self.heap.peek().map(|Reverse((t, ..))| *t)
+        let ring = self.ring_head().map(|_| self.base);
+        self.skim_overflow();
+        let overflow = self.overflow.peek().map(|Reverse((t, ..))| *t);
+        match (ring, overflow) {
+            (Some(r), Some(o)) => Some(r.min(o)),
+            (r, o) => r.or(o),
+        }
     }
 
     /// Pop the next live event in `(time, class, seq)` order.
     // digg-lint: hot-path
     pub fn pop(&mut self) -> Option<Event<T>> {
-        self.skim_tombstones();
-        let Reverse((time, class, _seq, id)) = self.heap.pop()?;
+        let ring = self.ring_head();
+        self.skim_overflow();
+        let from_ring = match (ring, self.overflow.peek()) {
+            (None, None) => return None,
+            (Some(_), None) => true,
+            (None, Some(_)) => false,
+            (Some(e), Some(Reverse((time, class, seq, _)))) => {
+                (self.base, e.class, e.seq) < (*time, *class, *seq)
+            }
+        };
+        let (time, class, id) = if from_ring {
+            let e = self.ring[self.cursor].pop_front()?;
+            self.ring_len -= 1;
+            (self.base, e.class, e.id)
+        } else {
+            let Reverse((time, class, _, id)) = self.overflow.pop()?;
+            if self.ring_len == 0 {
+                // Nothing is in the ring, so it may start anywhere:
+                // anchor it here, where what comes next is scheduled.
+                if let Some(bucket) = self.ring.get_mut(self.cursor) {
+                    *bucket = VecDeque::new();
+                }
+                self.base = time;
+            }
+            (time, class, id)
+        };
         let slot = id.slot();
         let state = std::mem::replace(&mut self.slots[slot].state, SlotState::Free);
         #[expect(
             clippy::unreachable,
-            reason = "heap/slab coherence invariant: skim_tombstones just dropped every dead head"
+            reason = "queue/slab coherence invariant: ring_head and skim_overflow just dropped every dead head"
         )]
         let SlotState::Occupied { payload, .. } = state
         else {
-            unreachable!("skim_tombstones left a dead head");
+            unreachable!("a dead entry reached the head");
         };
         self.release(slot);
         Some(Event {
@@ -243,21 +358,66 @@ impl<T> EventQueue<T> {
         })
     }
 
-    /// Drop stale heap entries (cancelled, fired, or superseded by a
-    /// reschedule) until the head is live.
-    fn skim_tombstones(&mut self) {
-        while let Some(Reverse((_, _, seq, id))) = self.heap.peek() {
-            let live = self
-                .slots
-                .get(id.slot())
-                .filter(|e| e.generation == id.generation())
-                .map(|e| matches!(e.state, SlotState::Occupied { seq: s, .. } if s == *seq))
-                .unwrap_or(false);
-            if live {
+    /// The ring's next live entry, due at `base`: drop dead entries off
+    /// the cursor bucket's front and advance the cursor past drained
+    /// buckets, freeing their buffers. `None` when the ring is empty.
+    fn ring_head(&mut self) -> Option<Entry> {
+        while self.ring_len > 0 {
+            let bucket = &mut self.ring[self.cursor];
+            while let Some(&e) = bucket.front() {
+                if is_live(&self.slots, e.seq, e.id) {
+                    return Some(e);
+                }
+                bucket.pop_front();
+                self.ring_len -= 1;
+            }
+            // The ring still holds an entry, due before `base +
+            // RING_WIDTH`, so `base + 1` cannot overflow.
+            *bucket = VecDeque::new();
+            self.cursor = (self.cursor + 1) % RING;
+            self.base += 1;
+        }
+        None
+    }
+
+    /// Drop stale overflow entries (cancelled, fired, or superseded by
+    /// a reschedule) until its head is live.
+    fn skim_overflow(&mut self) {
+        while let Some(Reverse((_, _, seq, id))) = self.overflow.peek() {
+            if is_live(&self.slots, *seq, *id) {
                 return;
             }
-            self.heap.pop();
+            self.overflow.pop();
         }
+    }
+
+    /// Every live event's key `(time, class, seq, id)` and payload, in
+    /// no particular order.
+    fn live_entries(&self) -> impl Iterator<Item = (u64, u8, u64, EventId, &T)> {
+        let ring = self.ring.iter().enumerate().flat_map(move |(i, bucket)| {
+            let d = (i + RING - self.cursor) % RING;
+            bucket
+                .iter()
+                .map(move |e| (self.base + d as u64, e.class, e.seq, e.id))
+        });
+        let overflow = self.overflow.iter().map(|&Reverse(key)| key);
+        ring.chain(overflow).filter_map(|(time, class, seq, id)| {
+            match &self.slots.get(id.slot())?.state {
+                SlotState::Occupied { seq: s, payload } if *s == seq => {
+                    Some((time, class, seq, id, payload))
+                }
+                _ => None,
+            }
+        })
+    }
+
+    /// The payloads of the live events, in slab order — for checking a
+    /// restored queue's contents against the state that owns it.
+    pub fn payloads(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().filter_map(|s| match &s.state {
+            SlotState::Occupied { payload, .. } => Some(payload),
+            SlotState::Free => None,
+        })
     }
 }
 
@@ -268,26 +428,15 @@ impl<T: Codec> Snapshot for EventQueue<T> {
     /// order. Carrying the slab shape is what makes a restored queue
     /// allocate *future* ids identically to the original (the
     /// checkpoint/replay bit-identity contract); what is still dropped
-    /// are tombstoned heap entries, which are unobservable.
+    /// are tombstoned entries and the ring's position, which are
+    /// unobservable.
     fn snapshot(&self) -> Vec<u8> {
-        let mut entries: Vec<(u64, u8, u64, u64, &T)> = self
-            .heap
-            .iter()
-            .filter_map(|&Reverse((time, class, seq, id))| {
-                self.slots
-                    .get(id.slot())
-                    .filter(|e| e.generation == id.generation())
-                    .and_then(|e| match &e.state {
-                        SlotState::Occupied { seq: s, payload } if *s == seq => {
-                            Some((time, class, seq, id.0, payload))
-                        }
-                        _ => None,
-                    })
-            })
-            .collect();
+        let mut entries: Vec<(u64, u8, u64, EventId, &T)> = self.live_entries().collect();
         entries.sort_unstable_by_key(|&(time, class, seq, id, _)| (time, class, seq, id));
-        // `live_len` is not stored: restore recounts it from the entries.
+        // `live_len` is not stored: restore recounts it from the entries,
+        // which it files in the ring or the overflow afresh.
         debug_assert_eq!(entries.len(), self.live_len);
+        debug_assert!(entries.len() <= self.ring_len + self.overflow.len());
         let mut w = ByteWriter::new();
         w.put_u64(self.next_seq);
         w.put_usize(self.slots.len());
@@ -303,7 +452,7 @@ impl<T: Codec> Snapshot for EventQueue<T> {
             w.put_u64(time);
             w.put_u8(class);
             w.put_u64(seq);
-            w.put_u64(id);
+            w.put_u64(id.0);
             payload.encode(&mut w);
         }
         let mut container = SnapshotWriter::new();
@@ -346,7 +495,7 @@ impl<T: Codec> Restore for EventQueue<T> {
             q.free.push(f);
         }
         let count = r.get_usize()?;
-        for _ in 0..count {
+        for k in 0..count {
             let time = r.get_u64()?;
             let class = r.get_u8()?;
             let seq = r.get_u64()?;
@@ -384,7 +533,12 @@ impl<T: Codec> Restore for EventQueue<T> {
             }
             entry.state = SlotState::Occupied { seq, payload };
             q.live_len += 1;
-            q.heap.push(Reverse((time, class, seq, id)));
+            if k == 0 {
+                // The events come sorted by time: start the ring at the
+                // first, so every event within its width lands in it.
+                q.base = time;
+            }
+            q.enqueue(time, Entry { class, seq, id });
         }
         if !r.is_exhausted() {
             return Err(SnapshotError::Malformed(
@@ -536,7 +690,7 @@ mod tests {
                 q.cancel(id);
             }
         }
-        // Tombstoned heap entries are dropped: only live events carry
+        // Tombstoned entries are dropped: only live events carry
         // payload bytes (the slab shape itself is a few words/slot).
         let live_events = q.len();
         let full = q.snapshot();
@@ -592,6 +746,55 @@ mod tests {
             Err(other) => panic!("expected Malformed, got {other}"),
             Ok(_) => panic!("free/live overlap restored"),
         }
+    }
+
+    #[test]
+    fn times_outside_the_ring_pop_in_order_through_the_overflow() {
+        let mut q = EventQueue::new();
+        let far = 3 * RING_WIDTH + 7;
+        q.schedule(far, 0, "far");
+        q.schedule(10, 1, "near");
+        assert_eq!(q.overflow.len(), 1, "beyond the ring width overflows");
+        assert_eq!(q.pop().map(|e| e.payload), Some("near"));
+        // Earlier than the bucket just drained: also the overflow, and
+        // it still pops first.
+        q.schedule(3, 0, "past");
+        q.schedule(10, 0, "same-bucket-earlier-class");
+        q.schedule(far, 0, "far-second");
+        assert_eq!(
+            drain(&mut q),
+            vec![
+                (3, 0, "past"),
+                (10, 0, "same-bucket-earlier-class"),
+                (far, 0, "far"),
+                (far, 0, "far-second"),
+            ]
+        );
+        // Popping from the overflow with the ring empty re-anchored the
+        // ring there: the next near schedule lands in it.
+        q.schedule(far + 1, 0, "next");
+        assert!(q.overflow.is_empty());
+        assert_eq!(q.ring_len, 1);
+    }
+
+    #[test]
+    fn drained_buckets_release_their_buffers() {
+        let mut q = EventQueue::new();
+        for _ in 0..1000 {
+            q.schedule(1, 0, ());
+        }
+        q.schedule(2, 0, ());
+        for _ in 0..1000 {
+            assert_eq!(q.pop().map(|e| e.time), Some(1));
+        }
+        let drained = q.cursor;
+        assert!(q.ring[drained].capacity() >= 1000);
+        assert_eq!(q.pop().map(|e| e.time), Some(2));
+        assert_eq!(
+            q.ring[drained].capacity(),
+            0,
+            "drained bucket kept its buffer"
+        );
     }
 
     #[test]

@@ -1,7 +1,12 @@
 //! Property tests for the event queue's ordering contract: pops are
 //! nondecreasing in `(time, class)` with FIFO-stable ordering among
-//! equal keys, and cancel/reschedule never lose or duplicate events.
+//! equal keys, and cancel/reschedule never lose or duplicate events —
+//! near the start of the calendar ring and at each of its edges.
 
+mod common;
+
+use common::{Clock, Op, ADVANCE};
+use des_core::queue::RING_WIDTH;
 use des_core::{EventId, EventQueue};
 use proptest::prelude::*;
 
@@ -30,26 +35,6 @@ fn drain_matches_stable_sort(events: Vec<(u64, u8)>) -> Result<(), String> {
     Ok(())
 }
 
-#[derive(Clone, Debug)]
-enum Op {
-    Schedule { time: u64, class: u8 },
-    Cancel { pick: usize },
-    Reschedule { pick: usize, time: u64, class: u8 },
-    Pop,
-}
-
-/// Weighted op mix without `prop_oneof!` (the vendored proptest has no
-/// such macro): a selector in 0..7 picks schedule (3/7), cancel (1/7),
-/// reschedule (1/7), or pop (2/7).
-fn op_strategy() -> impl Strategy<Value = Op> {
-    (0..7u8, any::<usize>(), 0..64u64, 0..4u8).prop_map(|(sel, pick, time, class)| match sel {
-        0..=2 => Op::Schedule { time, class },
-        3 => Op::Cancel { pick },
-        4 => Op::Reschedule { pick, time, class },
-        _ => Op::Pop,
-    })
-}
-
 /// Reference model: a plain vector of live events, popped by scanning
 /// for the minimum `(time, class, seq)` key.
 #[derive(Default)]
@@ -69,6 +54,10 @@ impl Model {
         Some(self.live.remove(at))
     }
 
+    fn peek_time(&self) -> Option<u64> {
+        self.live.iter().map(|e| e.0).min()
+    }
+
     fn pop(&mut self) -> Option<(u64, u8, EventId, usize)> {
         let at = self
             .live
@@ -83,16 +72,19 @@ impl Model {
 
 /// Model-based property: under arbitrary interleavings of schedule,
 /// cancel, reschedule, and pop, the queue agrees with the model on
-/// every observable — so no event is ever lost or fired twice.
-fn queue_matches_model(ops: Vec<Op>) -> Result<(), String> {
+/// every observable — so no event is ever lost or fired twice. Returns
+/// the clock after the last op.
+fn queue_matches_model(ops: Vec<Op>) -> Result<Clock, String> {
     let mut q = EventQueue::new();
     let mut model = Model::default();
     let mut handles: Vec<EventId> = Vec::new(); // every id ever issued
     let mut payload = 0usize;
+    let mut clock = Clock::default();
 
     for op in ops {
         match op {
-            Op::Schedule { time, class } => {
+            Op::Schedule { when, class } => {
+                let time = when.resolve(clock);
                 let id = q.schedule(time, class, payload);
                 model.schedule(time, class, id, payload);
                 handles.push(id);
@@ -106,11 +98,12 @@ fn queue_matches_model(ops: Vec<Op>) -> Result<(), String> {
                 let expected = model.remove(id);
                 prop_assert_eq!(q.cancel(id), expected.map(|e| e.4));
             }
-            Op::Reschedule { pick, time, class } => {
+            Op::Reschedule { pick, when, class } => {
                 if handles.is_empty() {
                     continue;
                 }
                 let id = handles[pick % handles.len()];
+                let time = when.resolve(clock);
                 match model.remove(id) {
                     Some((.., p)) => {
                         prop_assert!(q.reschedule(id, time, class));
@@ -122,9 +115,31 @@ fn queue_matches_model(ops: Vec<Op>) -> Result<(), String> {
             Op::Pop => {
                 let got = q.pop().map(|e| (e.time, e.class, e.id, e.payload));
                 prop_assert_eq!(got, model.pop());
+                if let Some((time, ..)) = got {
+                    clock.popped(time);
+                }
+            }
+            Op::Advance => {
+                let time = clock.high + ADVANCE;
+                let marker = q.schedule(time, u8::MAX, payload);
+                model.schedule(time, u8::MAX, marker, payload);
+                handles.push(marker);
+                payload += 1;
+                loop {
+                    let got = q.pop().map(|e| (e.time, e.class, e.id, e.payload));
+                    prop_assert_eq!(got, model.pop());
+                    let Some((time, _, id, _)) = got else {
+                        return Err("the advance marker never popped".into());
+                    };
+                    clock.popped(time);
+                    if id == marker {
+                        break;
+                    }
+                }
             }
         }
         prop_assert_eq!(q.len(), model.live.len());
+        prop_assert_eq!(q.peek_time(), model.peek_time());
     }
 
     // Drain what's left: everything scheduled and not cancelled/fired
@@ -137,7 +152,7 @@ fn queue_matches_model(ops: Vec<Op>) -> Result<(), String> {
             break;
         }
     }
-    Ok(())
+    Ok(clock)
 }
 
 proptest! {
@@ -152,7 +167,38 @@ proptest! {
 
     #[test]
     fn cancel_and_reschedule_never_lose_or_duplicate(
-        ops in prop::collection::vec(op_strategy(), 0..200)
+        ops in prop::collection::vec(common::op_strategy(), 0..200)
+    ) {
+        queue_matches_model(ops)?;
+    }
+
+    #[test]
+    fn pops_are_a_stable_sort_across_the_ring_and_every_class(
+        events in prop::collection::vec((0..3 * RING_WIDTH, any::<u8>()), 0..200)
+    ) {
+        drain_matches_stable_sort(events)?;
+    }
+
+    /// Times wrapping the ring, straddling its far edge, past it, and
+    /// before the last popped time, in every class.
+    #[test]
+    fn the_ring_edges_agree_with_the_model(
+        ops in prop::collection::vec(common::edge_op_strategy(), 0..300)
+    ) {
+        queue_matches_model(ops)?;
+    }
+
+    #[test]
+    fn a_marching_clock_wraps_the_ring_and_agrees_with_the_model(
+        ops in common::marching_strategy()
+    ) {
+        let clock = queue_matches_model(ops)?;
+        prop_assert!(clock.high > 2 * RING_WIDTH, "clock stopped at {}", clock.high);
+    }
+
+    #[test]
+    fn inserts_into_the_bucket_being_drained_agree_with_the_model(
+        ops in prop::collection::vec(common::drained_bucket_op_strategy(), 0..300)
     ) {
         queue_matches_model(ops)?;
     }

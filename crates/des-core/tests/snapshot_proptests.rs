@@ -5,6 +5,9 @@
 //! containers (flipped bytes, truncation, foreign versions) must come
 //! back as typed [`SnapshotError`]s, never panics.
 
+mod common;
+
+use common::{Clock, Op, ADVANCE};
 use des_core::{EventQueue, StreamRng};
 use digg_snapshot::{
     ByteReader, ByteWriter, Codec, Restore, Snapshot, SnapshotError, FORMAT_VERSION, MAGIC,
@@ -24,31 +27,19 @@ impl Codec for P {
     }
 }
 
-#[derive(Clone, Debug)]
-enum Op {
-    Schedule { time: u64, class: u8 },
-    Cancel { pick: usize },
-    Reschedule { pick: usize, time: u64, class: u8 },
-    Pop,
-}
-
-/// Same weighted mix as the ordering proptests: schedule-heavy with
-/// occasional cancels, reschedules, and pops.
-fn op_strategy() -> impl Strategy<Value = Op> {
-    (0..7u8, any::<usize>(), 0..64u64, 0..4u8).prop_map(|(sel, pick, time, class)| match sel {
-        0..=2 => Op::Schedule { time, class },
-        3 => Op::Cancel { pick },
-        4 => Op::Reschedule { pick, time, class },
-        _ => Op::Pop,
-    })
-}
-
 /// Apply one op to a queue, tracking issued handles so cancel and
-/// reschedule target real ids.
-fn apply(q: &mut EventQueue<P>, handles: &mut Vec<des_core::EventId>, next: &mut u64, op: &Op) {
+/// reschedule target real ids, and the clock that relative times
+/// resolve against.
+fn apply(
+    q: &mut EventQueue<P>,
+    handles: &mut Vec<des_core::EventId>,
+    next: &mut u64,
+    clock: &mut Clock,
+    op: &Op,
+) {
     match *op {
-        Op::Schedule { time, class } => {
-            handles.push(q.schedule(time, class, P(*next)));
+        Op::Schedule { when, class } => {
+            handles.push(q.schedule(when.resolve(*clock), class, P(*next)));
             *next += 1;
         }
         Op::Cancel { pick } => {
@@ -57,16 +48,65 @@ fn apply(q: &mut EventQueue<P>, handles: &mut Vec<des_core::EventId>, next: &mut
                 q.cancel(id);
             }
         }
-        Op::Reschedule { pick, time, class } => {
+        Op::Reschedule { pick, when, class } => {
             if !handles.is_empty() {
                 let id = handles[pick % handles.len()];
-                q.reschedule(id, time, class);
+                q.reschedule(id, when.resolve(*clock), class);
             }
         }
         Op::Pop => {
-            q.pop();
+            if let Some(e) = q.pop() {
+                clock.popped(e.time);
+            }
+        }
+        Op::Advance => {
+            let marker = q.schedule(clock.high + ADVANCE, u8::MAX, P(*next));
+            handles.push(marker);
+            *next += 1;
+            while let Some(e) = q.pop() {
+                clock.popped(e.time);
+                if e.id == marker {
+                    break;
+                }
+            }
         }
     }
+}
+
+/// Checkpoint after `ops[..cut]`: the restored queue replays the rest
+/// of the history and drains bit-identically to the original, and
+/// re-snapshotting yields the same bytes.
+fn restore_is_invisible(ops: &[Op], cut_pick: usize) -> Result<(), String> {
+    let cut = cut_pick % (ops.len() + 1);
+    let mut q = EventQueue::new();
+    let mut handles = Vec::new();
+    let mut next = 0u64;
+    let mut clock = Clock::default();
+    for op in &ops[..cut] {
+        apply(&mut q, &mut handles, &mut next, &mut clock, op);
+    }
+
+    let bytes = q.snapshot();
+    let mut restored = EventQueue::<P>::restore(&bytes, ()).map_err(|e| format!("{e:?}"))?;
+    prop_assert_eq!(
+        restored.snapshot(),
+        bytes,
+        "re-snapshot must be byte-stable"
+    );
+
+    // Replay the tail of the history on both. Handles are the ids
+    // issued so far — identical on both sides because the snapshot
+    // carries the id counter.
+    let mut handles_r = handles.clone();
+    let mut next_r = next;
+    let mut clock_r = clock;
+    for op in &ops[cut..] {
+        apply(&mut q, &mut handles, &mut next, &mut clock, op);
+        apply(&mut restored, &mut handles_r, &mut next_r, &mut clock_r, op);
+    }
+    prop_assert_eq!(restored.snapshot(), q.snapshot());
+    prop_assert_eq!(drain(&mut restored), drain(&mut q));
+    Ok(())
 }
 
 fn drain(q: &mut EventQueue<P>) -> Vec<(u64, u8, u64)> {
@@ -80,37 +120,40 @@ fn drain(q: &mut EventQueue<P>) -> Vec<(u64, u8, u64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Checkpoint at an arbitrary instant mid-history: the restored
-    /// queue replays the rest of the history and drains bit-identically
-    /// to the original, and re-snapshotting yields the same bytes.
+    /// Checkpoint at an arbitrary instant mid-history.
     #[test]
     fn queue_restore_is_invisible_at_any_instant(
-        ops in prop::collection::vec(op_strategy(), 0..150),
+        ops in prop::collection::vec(common::op_strategy(), 0..150),
         cut_pick in any::<usize>(),
     ) {
-        let cut = cut_pick % (ops.len() + 1);
-        let mut q = EventQueue::new();
-        let mut handles = Vec::new();
-        let mut next = 0u64;
-        for op in &ops[..cut] {
-            apply(&mut q, &mut handles, &mut next, op);
-        }
+        restore_is_invisible(&ops, cut_pick)?;
+    }
 
-        let bytes = q.snapshot();
-        let mut restored = EventQueue::<P>::restore(&bytes, ()).map_err(|e| format!("{e:?}"))?;
-        prop_assert_eq!(restored.snapshot(), bytes, "re-snapshot must be byte-stable");
+    /// The same across the calendar ring's edges: the restored ring
+    /// starts at the earliest pending time, wherever the original's
+    /// stood.
+    #[test]
+    fn queue_restore_is_invisible_across_the_ring_edges(
+        ops in prop::collection::vec(common::edge_op_strategy(), 0..200),
+        cut_pick in any::<usize>(),
+    ) {
+        restore_is_invisible(&ops, cut_pick)?;
+    }
 
-        // Replay the tail of the history on both. Handles are the ids
-        // issued so far — identical on both sides because the snapshot
-        // carries the id counter.
-        let mut handles_r = handles.clone();
-        let mut next_r = next;
-        for op in &ops[cut..] {
-            apply(&mut q, &mut handles, &mut next, op);
-            apply(&mut restored, &mut handles_r, &mut next_r, op);
-        }
-        prop_assert_eq!(restored.snapshot(), q.snapshot());
-        prop_assert_eq!(drain(&mut restored), drain(&mut q));
+    #[test]
+    fn queue_restore_is_invisible_on_a_marching_clock(
+        ops in common::marching_strategy(),
+        cut_pick in any::<usize>(),
+    ) {
+        restore_is_invisible(&ops, cut_pick)?;
+    }
+
+    #[test]
+    fn queue_restore_is_invisible_mid_bucket(
+        ops in prop::collection::vec(common::drained_bucket_op_strategy(), 0..200),
+        cut_pick in any::<usize>(),
+    ) {
+        restore_is_invisible(&ops, cut_pick)?;
     }
 
     /// Any single flipped byte in a queue snapshot surfaces as a typed

@@ -27,9 +27,10 @@
 //! immediately).
 //!
 //! The per-vote path is built for speed without touching that draw
-//! order. Voter and exposure membership use the fast id hash of the
-//! `idhash` module, the exposure dedup set is kept per story, and
-//! every probability that depends only on the population, the config
+//! order. Voter membership uses the fast id hash of the `idhash`
+//! module, each story keeps the fans already offered it as a dense
+//! bitset over users, the event queue is des-core's calendar queue,
+//! and every probability that depends only on the population, the config
 //! or the minute is computed once: the per-user exposure probabilities
 //! and per-story discovery samplers in `Derived`, and the front-page
 //! vote probabilities once per listed story per minute. Each is the
@@ -38,7 +39,6 @@
 use crate::config::{PromoterKind, SimConfig};
 use crate::decay::{novelty, sample_pages_viewed};
 use crate::frontpage::FrontPage;
-use crate::idhash::IdBuildHasher;
 use crate::metrics::SimMetrics;
 use crate::population::Population;
 use crate::promotion::{self, Promoter, PromoterState};
@@ -55,7 +55,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 use social_graph::UserId;
-use std::collections::HashSet;
+use std::fmt;
 
 // Event classes: the fixed intra-minute phase order (see module docs).
 const CLASS_EXPIRY: u8 = 0;
@@ -126,10 +126,10 @@ pub struct Sim {
     events: EventQueue<Ev>,
     /// The fans ever offered an exposure to each story, indexed like
     /// `stories`, to collapse duplicate entries from multiple friends
-    /// (the interface shows a story once). Membership-only; the
-    /// snapshot path writes them as one sorted `(fan, story)` list.
-    // digg-lint: allow(no-unordered-serialize) — snapshot encodes the pairs as a sorted Vec, never in set-iteration order
-    scheduled: Vec<HashSet<UserId, IdBuildHasher>>,
+    /// (the interface shows a story once): one bit per user, bit
+    /// `u % 64` of word `u / 64`. The snapshot writes them as one
+    /// fan-major `(fan, story)` list.
+    offered: Vec<Vec<u64>>,
     /// Per-story incremental promoter state, indexed like `stories`.
     /// Lets each promotion re-check fold only the votes it has not
     /// seen; the tick-loop baseline stays on the batch path, so the
@@ -252,7 +252,7 @@ impl Sim {
             queue: UpcomingQueue::new(cfg.page_size, cfg.queue_lifetime),
             front: FrontPage::new(cfg.page_size),
             events: EventQueue::new(),
-            scheduled: Vec::new(),
+            offered: Vec::new(),
             stories: Vec::new(),
             promo_states: Vec::new(),
             now: Minute::ZERO,
@@ -443,7 +443,7 @@ impl Sim {
         let story = Story::new(id, submitter, self.now, quality);
         self.stories.push(story);
         self.promo_states.push(self.derived.promoter.new_state());
-        self.scheduled.push(HashSet::default());
+        self.offered.push(vec![0; self.pop.len().div_ceil(64)]);
         self.derived
             .discovery
             .push(Poisson::new(self.cfg.external_rate * quality));
@@ -629,16 +629,19 @@ impl Sim {
     // digg-lint: hot-path
     fn schedule_fan_exposures(&mut self, actor: UserId, story: StoryId, from_submitter: bool) {
         let voters = &self.stories[story.index()];
-        let offered = &mut self.scheduled[story.index()];
+        let offered = &mut self.offered[story.index()];
         let view = usize::from(from_submitter);
         let delay_rate = 1.0 / self.cfg.fan_exposure_delay_mean;
         for &fan in self.pop.graph.fans(actor) {
             // Offering consumes the pair whether or not the exposure
             // happens, so another friend's vote doesn't grant a second
-            // chance; the interface shows a story once.
-            if voters.has_voted(fan) || !offered.insert(fan) {
+            // chance; the interface shows a story once. Voters are
+            // never offered the story.
+            let (word, bit) = (fan.index() / 64, 1u64 << (fan.index() % 64));
+            if offered[word] & bit != 0 || voters.has_voted(fan) {
                 continue;
             }
+            offered[word] |= bit;
             if !coin(&mut self.rng, self.derived.exposure_prob[fan.index()][view]) {
                 continue;
             }
@@ -675,6 +678,47 @@ impl Sim {
             self.metrics.promotions += 1;
         }
     }
+
+    /// The `scheduled` snapshot section: every offered `(fan, story)`
+    /// pair as two `u32`s behind a `u64` count, ordered by fan, then
+    /// story. Written without a sort: count each fan's offers,
+    /// prefix-sum the counts into each fan's first slot, then scatter
+    /// the pairs story by story, which leaves each fan's stories in
+    /// ascending order.
+    fn encode_offered(&self) -> Vec<u8> {
+        let users = self.pop.len();
+        let mut next = vec![0usize; users + 1];
+        for bits in &self.offered {
+            for fan in set_bits(bits) {
+                next[fan + 1] += 1;
+            }
+        }
+        for fan in 0..users {
+            next[fan + 1] += next[fan];
+        }
+        let pairs = next[users];
+        let mut out = vec![0u8; 8 + 8 * pairs];
+        out[..8].copy_from_slice(&(pairs as u64).to_le_bytes());
+        for (idx, bits) in self.offered.iter().enumerate() {
+            let story = StoryId::from_index(idx).0.to_le_bytes();
+            for fan in set_bits(bits) {
+                let at = 8 + 8 * next[fan];
+                next[fan] += 1;
+                out[at..at + 4].copy_from_slice(&UserId::from_index(fan).0.to_le_bytes());
+                out[at + 4..at + 8].copy_from_slice(&story);
+            }
+        }
+        out
+    }
+}
+
+/// The indices of the set bits in `bits`, ascending.
+fn set_bits(bits: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    bits.iter().enumerate().flat_map(|(w, &word)| {
+        std::iter::successors(Some(word), |&x| Some(x & x.wrapping_sub(1)))
+            .take_while(|&x| x != 0)
+            .map(move |x| w * 64 + x.trailing_zeros() as usize)
+    })
 }
 
 // ------------------------------------------------- checkpoint/replay
@@ -735,7 +779,7 @@ impl Codec for Ev {
 /// (votes, statuses, qualities), per-story [`PromoterState`] partial
 /// sums, both listings, the pending event queue (as a nested
 /// [`EventQueue`] container, tombstones dropped), the per-story
-/// exposure-dedup sets (as one sorted `(fan, story)` pair list), the
+/// offered-fan bitsets (as one fan-major `(fan, story)` pair list), the
 /// tick-loop `StdRng` core, metrics, the clock, the external-discovery
 /// window start, and the full [`SimConfig`].
 ///
@@ -805,22 +849,7 @@ impl Snapshot for Sim {
         }
         c.section("front", w.into_bytes());
 
-        // HashSet iteration order is arbitrary: sort the pairs so the
-        // bytes are a pure function of the logical state.
-        let mut pairs: Vec<(u32, u32)> =
-            Vec::with_capacity(self.scheduled.iter().map(HashSet::len).sum());
-        for (idx, fans) in self.scheduled.iter().enumerate() {
-            let story = StoryId::from_index(idx).0;
-            pairs.extend(fans.iter().map(|u| (u.0, story)));
-        }
-        pairs.sort_unstable();
-        let mut w = ByteWriter::new();
-        w.put_usize(pairs.len());
-        for (u, s) in pairs {
-            w.put_u32(u);
-            w.put_u32(s);
-        }
-        c.section("scheduled", w.into_bytes());
+        c.section("scheduled", self.encode_offered());
 
         c.section("events", self.events.snapshot());
 
@@ -870,11 +899,25 @@ impl Restore for Sim {
 
         let metrics = SimMetrics::decode(&mut c.section_reader("metrics")?)?;
 
+        // Every id a section names must index the population or the
+        // stories, or `run` would panic on it later.
+        let users = pop.len();
         let mut r = c.section_reader("stories")?;
         let n = r.get_usize()?;
         let mut stories = Vec::with_capacity(n.min(1 << 20));
-        for _ in 0..n {
-            stories.push(Story::decode(&mut r)?);
+        for k in 0..n {
+            let story = Story::decode(&mut r)?;
+            if story.id.index() != k {
+                return Err(SnapshotError::Malformed(format!(
+                    "stories section holds {} at index {k}",
+                    story.id
+                )));
+            }
+            user_in("stories", story.submitter, users)?;
+            for &u in story.votes.users() {
+                user_in("stories", u, users)?;
+            }
+            stories.push(story);
         }
         if external_lo > stories.len() {
             return Err(SnapshotError::Malformed(format!(
@@ -900,37 +943,45 @@ impl Restore for Sim {
         let nq = r.get_usize()?;
         let mut queue_entries = Vec::with_capacity(nq.min(1 << 20));
         for _ in 0..nq {
-            queue_entries.push((StoryId(r.get_u32()?), Minute(r.get_u64()?)));
+            let id = StoryId(r.get_u32()?);
+            story_in("queue", id, stories.len())?;
+            queue_entries.push((id, Minute(r.get_u64()?)));
         }
 
         let mut r = c.section_reader("front")?;
         let nf = r.get_usize()?;
         let mut front_entries = Vec::with_capacity(nf.min(1 << 20));
         for _ in 0..nf {
-            front_entries.push((StoryId(r.get_u32()?), Minute(r.get_u64()?)));
+            let id = StoryId(r.get_u32()?);
+            story_in("front", id, stories.len())?;
+            front_entries.push((id, Minute(r.get_u64()?)));
         }
 
         // The pair count is untrusted: it bounds the loop, never an
-        // allocation; the sets grow as pairs actually decode.
+        // allocation; the bitsets are sized by the decoded stories and
+        // the population.
         let mut r = c.section_reader("scheduled")?;
         let ns = r.get_usize()?;
-        let mut scheduled: Vec<HashSet<UserId, IdBuildHasher>> =
-            (0..stories.len()).map(|_| HashSet::default()).collect();
+        let mut offered = vec![vec![0u64; users.div_ceil(64)]; stories.len()];
         for _ in 0..ns {
             let fan = UserId(r.get_u32()?);
             let story = StoryId(r.get_u32()?);
-            scheduled
-                .get_mut(story.index())
-                .ok_or_else(|| {
-                    SnapshotError::Malformed(format!(
-                        "scheduled pair names story {story} of {}",
-                        stories.len()
-                    ))
-                })?
-                .insert(fan);
+            user_in("scheduled", fan, users)?;
+            story_in("scheduled", story, stories.len())?;
+            offered[story.index()][fan.index() / 64] |= 1 << (fan.index() % 64);
         }
 
         let events: EventQueue<Ev> = EventQueue::restore(c.section("events")?, ())?;
+        for ev in events.payloads() {
+            match *ev {
+                Ev::Expiry(story) => story_in("events", story, stories.len())?,
+                Ev::Exposure { fan, story, .. } => {
+                    user_in("events", fan, users)?;
+                    story_in("events", story, stories.len())?;
+                }
+                Ev::SubmitBatch | Ev::FrontBatch | Ev::UpcomingBatch | Ev::ExternalBatch => {}
+            }
+        }
 
         let mut r = c.section_reader("rng")?;
         let rng = StdRng::from_state([r.get_u64()?, r.get_u64()?, r.get_u64()?, r.get_u64()?]);
@@ -941,7 +992,7 @@ impl Restore for Sim {
             queue: UpcomingQueue::from_snapshot(cfg.page_size, cfg.queue_lifetime, queue_entries),
             front: FrontPage::from_snapshot(cfg.page_size, front_entries),
             events,
-            scheduled,
+            offered,
             stories,
             promo_states,
             now,
@@ -953,6 +1004,32 @@ impl Restore for Sim {
             cfg,
             pop,
         })
+    }
+}
+
+/// `Malformed` unless `user` indexes the population of `users`.
+fn user_in(section: &str, user: UserId, users: usize) -> Result<(), SnapshotError> {
+    bounded(section, "user", user, user.index(), users)
+}
+
+/// `Malformed` unless `story` indexes the `stories` decoded so far.
+fn story_in(section: &str, story: StoryId, stories: usize) -> Result<(), SnapshotError> {
+    bounded(section, "story", story, story.index(), stories)
+}
+
+fn bounded(
+    section: &str,
+    kind: &str,
+    id: impl fmt::Display,
+    index: usize,
+    len: usize,
+) -> Result<(), SnapshotError> {
+    if index < len {
+        Ok(())
+    } else {
+        Err(SnapshotError::Malformed(format!(
+            "{section} section names {kind} {id} of {len}"
+        )))
     }
 }
 
@@ -1241,6 +1318,136 @@ mod tests {
         }
     }
 
+    /// A fan id far beyond the toy population.
+    const STRAY_FAN: UserId = UserId(4_000_000_000);
+
+    /// Restore `patched` against the toy population of `seed` and
+    /// require a `Malformed` error whose message contains `needle`.
+    fn assert_malformed(patched: &[u8], seed: u64, users: usize, needle: &str) {
+        match Sim::restore(patched, toy_pop(seed, users)) {
+            Err(SnapshotError::Malformed(msg)) => assert!(msg.contains(needle), "{msg}"),
+            Err(other) => panic!("expected Malformed naming {needle}, got {other}"),
+            Ok(_) => panic!("restore accepted a snapshot naming {needle}"),
+        }
+    }
+
+    /// `stories` re-encoded after `edit` changes story 0.
+    fn stories_with(sim: &Sim, edit: impl Fn(&mut Story)) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_usize(sim.stories().len());
+        for (k, story) in sim.stories().iter().enumerate() {
+            let mut story = story.clone();
+            if k == 0 {
+                edit(&mut story);
+            }
+            story.encode(&mut w);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn restore_rejects_stories_naming_ids_out_of_range() {
+        let mut sim = toy_sim(36);
+        sim.run(120);
+        let bytes = sim.snapshot();
+        let users = sim.config().users;
+        let stray = StoryId::from_index(sim.stories().len());
+        let cases: [(Vec<u8>, String); 3] = [
+            (
+                stories_with(&sim, |s| s.submitter = STRAY_FAN),
+                format!("user {STRAY_FAN}"),
+            ),
+            (
+                stories_with(&sim, |s| {
+                    s.votes.push(crate::story::Vote {
+                        user: STRAY_FAN,
+                        at: s.submitted_at,
+                        channel: VoteChannel::Friends,
+                    })
+                }),
+                format!("user {STRAY_FAN}"),
+            ),
+            (
+                stories_with(&sim, |s| s.id = stray),
+                format!("{stray} at index 0"),
+            ),
+        ];
+        for (payload, needle) in cases {
+            assert_malformed(
+                &with_section(&bytes, "stories", payload, &[]),
+                36,
+                users,
+                &needle,
+            );
+        }
+    }
+
+    /// Replace the listing `section` with one entry naming the story
+    /// one past the last, and require restore to refuse it.
+    fn assert_listing_bound(section: &str, seed: u64) {
+        let mut sim = toy_sim(seed);
+        sim.run(120);
+        let bytes = sim.snapshot();
+        let stray = StoryId::from_index(sim.stories().len());
+        let mut w = ByteWriter::new();
+        w.put_usize(1);
+        w.put_u32(stray.0);
+        w.put_u64(0);
+        let patched = with_section(&bytes, section, w.into_bytes(), &[]);
+        let needle = format!("{section} section names story {stray}");
+        assert_malformed(&patched, seed, sim.config().users, &needle);
+    }
+
+    #[test]
+    fn restore_rejects_a_queue_entry_beyond_the_stories() {
+        assert_listing_bound("queue", 37);
+    }
+
+    #[test]
+    fn restore_rejects_a_front_page_entry_beyond_the_stories() {
+        assert_listing_bound("front", 40);
+    }
+
+    #[test]
+    fn restore_rejects_a_scheduled_fan_beyond_the_population() {
+        let mut sim = toy_sim(38);
+        sim.run(120);
+        let bytes = sim.snapshot();
+        let mut w = ByteWriter::new();
+        w.put_usize(1);
+        w.put_u32(STRAY_FAN.0);
+        w.put_u32(0);
+        let patched = with_section(&bytes, "scheduled", w.into_bytes(), &[]);
+        let needle = format!("scheduled section names user {STRAY_FAN}");
+        assert_malformed(&patched, 38, sim.config().users, &needle);
+    }
+
+    #[test]
+    fn restore_rejects_events_naming_ids_out_of_range() {
+        let mut sim = toy_sim(39);
+        sim.run(120);
+        let bytes = sim.snapshot();
+        let stray = StoryId::from_index(sim.stories().len());
+        let exposure = |fan, story| Ev::Exposure {
+            fan,
+            story,
+            triggered_at: Minute(100),
+            from_submitter: false,
+        };
+        let cases = [
+            (Ev::Expiry(stray), format!("story {stray}")),
+            (exposure(STRAY_FAN, StoryId(0)), format!("user {STRAY_FAN}")),
+            (exposure(UserId(0), stray), format!("story {stray}")),
+        ];
+        for (ev, needle) in cases {
+            let mut q = EventQueue::new();
+            q.schedule(200, CLASS_EXPOSE, ev);
+            let patched = with_section(&bytes, "events", q.snapshot(), &[]);
+            let needle = format!("events section names {needle}");
+            assert_malformed(&patched, 39, sim.config().users, &needle);
+        }
+    }
+
     #[test]
     fn restore_rejects_a_story_quality_outside_the_unit_interval() {
         // A negative quality would give the story's discovery sampler a
@@ -1248,21 +1455,9 @@ mod tests {
         let mut sim = toy_sim(35);
         sim.run(120);
         let bytes = sim.snapshot();
-        let mut w = ByteWriter::new();
-        w.put_usize(sim.stories().len());
-        for (k, story) in sim.stories().iter().enumerate() {
-            let mut story = story.clone();
-            if k == 0 {
-                story.quality = -1.0;
-            }
-            story.encode(&mut w);
-        }
-        let patched = with_section(&bytes, "stories", w.into_bytes(), &[]);
-        match Sim::restore(&patched, toy_pop(35, sim.config().users)) {
-            Err(SnapshotError::Malformed(msg)) => assert!(msg.contains("quality -1"), "{msg}"),
-            Err(other) => panic!("expected Malformed, got {other}"),
-            Ok(_) => panic!("restore accepted a story of quality -1"),
-        }
+        let stories = stories_with(&sim, |s| s.quality = -1.0);
+        let patched = with_section(&bytes, "stories", stories, &[]);
+        assert_malformed(&patched, 35, sim.config().users, "quality -1");
     }
 
     #[test]

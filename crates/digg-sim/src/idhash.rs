@@ -1,8 +1,9 @@
 //! A fast, deterministic hash for user-id membership.
 //!
-//! The simulator's per-vote work is membership tests on `UserId`s:
-//! "has this user voted on the story?" and "was this fan already
-//! offered the story?". The default SipHash is built to resist
+//! The simulator's per-vote work is membership tests on `UserId`s,
+//! above all "has this user voted on the story?" (`Story::voter_pos`;
+//! "was this fan already offered the story?" is a per-story bitset in
+//! the engine). The default SipHash is built to resist
 //! adversarial keys, which dense simulator ids are not, and it cost
 //! most of the simulator's run time. [`IdHasher`] is one
 //! multiplication per id. It has no random state, so the maps it backs
